@@ -35,7 +35,6 @@ import (
 	"nmo/internal/auth"
 	"nmo/internal/gateway"
 	"nmo/internal/obs"
-	"nmo/internal/zerocopy"
 )
 
 func main() {
@@ -100,10 +99,7 @@ func run(addr, members string, replicas int, probe time.Duration, acfg auth.Conf
 	}
 	defer gw.Close()
 
-	// Wrapped listener + ConnContext: client conns carry the zero-copy
-	// state the splice proxy hop needs, so sized shard trace bodies
-	// move shard-socket → pipe → client-socket in kernel space.
-	srv := &http.Server{Addr: addr, Handler: gw, ConnContext: zerocopy.ConnContext}
+	srv := &http.Server{Addr: addr, Handler: gw}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -111,7 +107,7 @@ func run(addr, members string, replicas int, probe time.Duration, acfg auth.Conf
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(zerocopy.WrapListener(ln, gw.ZeroCopy())) }()
+	go func() { errc <- srv.Serve(ln) }()
 	fmt.Printf("nmogw: listening on %s, routing %d members (%d vnodes each, probe %s, auth %s)\n",
 		addr, len(list), replicas, probe, acfg.Mode)
 

@@ -265,8 +265,20 @@ func TestGatewayDevTenantHeader(t *testing.T) {
 		t.Errorf("JobInfo.Tenant = %q, want devteam", info.Tenant)
 	}
 
-	// The shard recorded the tenant too (header crossed the hop).
-	info2, err := f.client.Job(context.Background(), info.ID)
+	// The shard recorded the tenant too (header crossed the hop). Only
+	// the owning tenant may read the job back.
+	req, err = http.NewRequest("GET", f.front.URL+"/v1/jobs/"+info.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(auth.TenantHeader, "devteam")
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info2 service.JobInfo
+	err = json.NewDecoder(resp.Body).Decode(&info2)
+	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,16 +56,10 @@ type Config struct {
 // via the probe loop.
 type member struct {
 	base   string // normalized base URL (also the ring label)
-	addr   string // "host:port" when base is plain http — the splice dial target
 	client *service.Client
 
 	healthy atomic.Bool
 	lastErr atomic.Value // string
-
-	// pool holds idle upstream connections for the splice proxy path
-	// (the gateway's own keep-alive, since splicing needs the raw
-	// socket that http.Client hides).
-	pool chan *upstreamConn
 }
 
 func (m *member) markDown(err error) {
@@ -156,8 +150,7 @@ func New(cfg Config) (*Gateway, error) {
 		if g.byBase[c.Base] != nil {
 			return nil, fmt.Errorf("gateway: member %q duplicated", addr)
 		}
-		m := &member{base: c.Base, addr: dialAddr(c.Base), client: c,
-			pool: make(chan *upstreamConn, upstreamPoolSize)}
+		m := &member{base: c.Base, client: c}
 		m.markUp()
 		g.members = append(g.members, m)
 		g.byBase[c.Base] = m
@@ -203,26 +196,15 @@ func (g *Gateway) setTenantHeaders(h http.Header, r *http.Request) {
 	}
 }
 
-// Close stops the probe loop and drops the pooled upstream conns.
+// Close stops the probe loop.
 func (g *Gateway) Close() {
 	g.closeOnce.Do(func() { close(g.stop) })
 	g.wg.Wait()
-	for _, m := range g.members {
-		for {
-			select {
-			case uc := <-m.pool:
-				uc.close()
-				continue
-			default:
-			}
-			break
-		}
-	}
 }
 
-// ZeroCopy returns the gateway's data-plane counters (splice bytes on
-// the proxy hop, fallback relay bytes, terminal copy outcomes). The
-// daemon hands the same object to zerocopy.WrapListener.
+// ZeroCopy returns the gateway's data-plane counters: trace bytes
+// relayed (all through the user-space copy) and terminal copy
+// outcomes.
 func (g *Gateway) ZeroCopy() *zerocopy.Counters { return g.zc }
 
 // ServeHTTP implements http.Handler.
@@ -398,7 +380,7 @@ func (g *Gateway) submitTo(w http.ResponseWriter, r *http.Request, m *member, bo
 	defer resp.Body.Close()
 	m.markUp()
 	if resp.StatusCode != http.StatusOK {
-		g.copyResponse(w, r, resp, nil)
+		g.copyResponse(w, r, resp)
 		return true, nil
 	}
 	var info service.JobInfo
@@ -415,7 +397,7 @@ func (g *Gateway) submitTo(w http.ResponseWriter, r *http.Request, m *member, bo
 // jobProxy builds the handler for one by-ID route (suffix "" for
 // status/cancel, "/result", "/trace"): it routes on the ID's shard
 // prefix and proxies verbatim — including the trace stream's
-// chunking, filter query push-down, and X-Nmo-Trace-Md5 header.
+// Content-Length, filter query push-down, and X-Nmo-Trace-Md5 header.
 // JobInfo responses get their ID re-qualified so clients only ever
 // see gateway IDs. The suffix comes from the matched route, not the
 // request path, and the inner ID is re-escaped on the way out — an ID
@@ -438,15 +420,6 @@ func (g *Gateway) proxyJob(w http.ResponseWriter, r *http.Request, suffix string
 	u := m.base + "/v1/jobs/" + url.PathEscape(inner) + suffix
 	if r.URL.RawQuery != "" {
 		u += "?" + r.URL.RawQuery
-	}
-
-	// Trace reads over a zero-copy downstream conn take the splice
-	// proxy: the gateway speaks HTTP/1.1 to the shard on its own
-	// pooled TCP conn (http.Client hides the socket splice needs) and
-	// moves the sized body kernel-side. Any failure before the first
-	// response byte falls through to the classic client path below.
-	if suffix == "/trace" && r.Method == http.MethodGet && g.spliceProxy(w, r, m, u) {
-		return
 	}
 
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, u, nil)
@@ -483,72 +456,28 @@ func (g *Gateway) proxyJob(w http.ResponseWriter, r *http.Request, suffix string
 		service.WriteJSON(w, http.StatusOK, info)
 		return
 	}
-	g.copyResponse(w, r, resp, flusherFor(w))
+	g.copyResponse(w, r, resp)
 }
 
-// copyBufPool recycles the proxy copy buffers: 256 KB apiece, one per
-// in-flight streamed response instead of one allocation per request.
-var copyBufPool = sync.Pool{
-	New: func() interface{} { b := make([]byte, 256<<10); return &b },
-}
-
-// flushWriter flushes after every Write, keeping proxied trace streams
-// incremental through io.CopyBuffer. It deliberately does NOT
-// implement io.ReaderFrom — the pooled buffer below stays the copy
-// granularity, and each chunk reaches the client as soon as it is
-// relayed.
-type flushWriter struct {
-	w  io.Writer
-	fl http.Flusher
-}
-
-func (f flushWriter) Write(p []byte) (int, error) {
-	n, err := f.w.Write(p)
-	if f.fl != nil {
-		f.fl.Flush()
-	}
-	return n, err
-}
-
-// copyResponse relays a member response through http.Client plumbing:
-// relevant headers, status, then the body. Sized responses pass
-// straight through io.Copy; unsized (chunked) responses — filtered
-// restreams — go through the pooled copy buffer, flushed
-// chunk-by-chunk when fl is set so trace streams stay incremental
-// through the gateway. This is the fallback relay (the splice proxy
-// handles trace bodies on zero-copy conns), so trace bytes moved here
-// count as fallback, and a broken copy is classified — client abort
-// vs upstream failure — instead of silently discarded.
-func (g *Gateway) copyResponse(w http.ResponseWriter, r *http.Request, resp *http.Response, fl http.Flusher) {
+// copyResponse relays a member response: relevant headers, status,
+// then the body through io.Copy. Trace bodies arrive sized and keep
+// their Content-Length, so the relay never re-frames them. Trace
+// bytes moved here count as fallback, and a broken copy is classified
+// — client abort vs upstream failure — instead of silently discarded.
+// The upstream request carries the client's context, so a client that
+// goes away mid-body also cuts the shard read short.
+func (g *Gateway) copyResponse(w http.ResponseWriter, r *http.Request, resp *http.Response) {
 	for _, h := range []string{"Content-Type", "Content-Length", "X-Nmo-Trace-Md5"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
 	}
-	isTrace := resp.Header.Get("Content-Type") == "application/octet-stream"
 	w.WriteHeader(resp.StatusCode)
-	var n int64
-	var err error
-	if resp.ContentLength >= 0 {
-		n, err = io.Copy(w, resp.Body)
-	} else {
-		bufp := copyBufPool.Get().(*[]byte)
-		defer copyBufPool.Put(bufp)
-		var dst io.Writer = w
-		if fl != nil {
-			dst = flushWriter{w: w, fl: fl}
-		}
-		n, err = io.CopyBuffer(dst, resp.Body, *bufp)
-	}
-	if isTrace {
+	n, err := io.Copy(w, resp.Body)
+	if resp.Header.Get("Content-Type") == "application/octet-stream" {
 		g.zc.AddFallback(n)
 		g.zc.CountCopyErr(r.Context(), err)
 	}
-}
-
-func flusherFor(w http.ResponseWriter) http.Flusher {
-	fl, _ := w.(http.Flusher)
-	return fl
 }
 
 // handleStats fans /v1/stats out to every member and merges the
@@ -609,7 +538,6 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		fleet.Queued += st.Queued
 		fleet.Running += st.Running
 		fleet.ZcSendfileBytes += st.ZcSendfileBytes
-		fleet.ZcSpliceBytes += st.ZcSpliceBytes
 		fleet.ZcFallbackBytes += st.ZcFallbackBytes
 		fleet.TraceClientAborts += st.TraceClientAborts
 		fleet.TraceServeErrors += st.TraceServeErrors
@@ -619,11 +547,9 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	// Uptime is this gateway's own clock — summing member uptimes
 	// would produce a meaningless "fleet-seconds" figure.
 	fleet.UptimeSec = obs.Uptime()
-	// The gateway is a data-plane hop of its own: its splice/relay
-	// bytes fold into the same inline counters (shards sendfile,
-	// the gateway splices — both visible in one fleet view).
-	fleet.ZcSendfileBytes += g.zc.SendfileBytes()
-	fleet.ZcSpliceBytes += g.zc.SpliceBytes()
+	// The gateway is a data-plane hop of its own: its relay bytes fold
+	// into the same inline counters (shards sendfile, the gateway
+	// copies — both visible in one fleet view).
 	fleet.ZcFallbackBytes += g.zc.FallbackBytes()
 	fleet.TraceClientAborts += g.zc.ClientAborts()
 	fleet.TraceServeErrors += g.zc.Errors()

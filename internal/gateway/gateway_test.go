@@ -4,13 +4,22 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"nmo/internal/auth"
+	"nmo/internal/obs"
 	"nmo/internal/service"
+	"nmo/internal/trace"
+	"nmo/internal/zerocopy"
 )
 
 // fleet is a test fixture: n in-process shards behind one gateway.
@@ -396,30 +405,194 @@ func mustShard(t *testing.T, f *fleet, id string) int {
 	return shard
 }
 
-// TestGatewayTracePassThrough: an unfiltered trace relayed through the
-// gateway keeps its identity-encoded, sized shape — Content-Length and
-// X-Nmo-Trace-Md5 from the shard, no chunking — even when the shard
-// serves the blob from its disk tier, and the bytes match the direct
-// fetch exactly. This pins the pass-through (non-rebuffered) proxy
-// path the shard→gateway→client zero-copy chain needs.
+// serveZC starts handler on a real TCP listener wired like nmod:
+// wrapped listener + ConnContext, so accepted conns carry the
+// zero-copy state the shard's sendfile path needs.
+func serveZC(t *testing.T, handler http.Handler, ctr *zerocopy.Counters) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: handler, ConnContext: zerocopy.ConnContext}
+	go srv.Serve(zerocopy.WrapListener(ln, ctr))
+	t.Cleanup(func() { srv.Close() })
+	return "http://" + ln.Addr().String()
+}
+
+// getTrace fetches a trace over plain HTTP so the test sees the
+// response framing.
+func getTrace(t *testing.T, base, id, query string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/trace?" + query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("trace %s?%s: %d %v: %s", id, query, resp.StatusCode, err, body)
+	}
+	return resp, body
+}
+
+// TestGatewayTracePassThrough: every trace response relayed through
+// the gateway keeps its sized shape — Content-Length and
+// X-Nmo-Trace-Md5 from the shard, no chunking — and its bytes match
+// the direct shard fetch exactly, for shards on a plain and on a
+// zero-copy listener, memory and disk tiers, unfiltered and filtered
+// requests. The fleet stats view must surface the gateway's own relay
+// bytes on top of the member sums.
 func TestGatewayTracePassThrough(t *testing.T) {
+	for _, row := range []struct {
+		plane, tier string
+	}{
+		{"httptest", "memory"},
+		{"httptest", "file"},
+		{"zerocopy", "memory"},
+		{"zerocopy", "file"},
+	} {
+		t.Run(row.plane+"/"+row.tier, func(t *testing.T) {
+			var cache *service.Cache
+			if row.tier == "file" {
+				// A one-byte memory budget demotes the blob to its
+				// spill file the moment it is filled.
+				var err error
+				cache, err = service.NewCache(service.CacheConfig{Dir: t.TempDir(), MemBudget: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			sched := service.NewScheduler(service.SchedConfig{Workers: 1}, cache)
+			t.Cleanup(sched.Close)
+			shardH := service.NewServer(sched)
+			var shardURL string
+			if row.plane == "zerocopy" {
+				shardURL = serveZC(t, shardH, shardH.ZeroCopy())
+			} else {
+				shard := httptest.NewServer(shardH)
+				t.Cleanup(shard.Close)
+				shardURL = shard.URL
+			}
+			gw, err := New(Config{Members: []string{shardURL}, ProbeEvery: 100 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(gw.Close)
+			front := httptest.NewServer(gw)
+			t.Cleanup(front.Close)
+			client := service.NewClient(front.URL)
+
+			// Small blocks, so a time window mixes whole blocks with
+			// straddlers.
+			js := spec(77)
+			js.Scenarios[0].BlockSamples = 32
+			info := submitWait(t, client, js)
+			_, inner, err := gw.splitJobID(info.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			job, ok := sched.Get(inner)
+			if !ok {
+				t.Fatal("job vanished from the shard")
+			}
+			blob := job.Artifacts().Traces[0]
+			if blob.FileBacked() != (row.tier == "file") {
+				t.Fatalf("blob file-backed = %v in the %s tier", blob.FileBacked(), row.tier)
+			}
+			stored, err := blob.Bytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd, err := trace.OpenV2(bytes.NewReader(stored))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b1 := rd.Block(1)
+
+			for _, fc := range []struct{ name, query string }{
+				{"unfiltered", ""},
+				{"time", fmt.Sprintf("from=%d&to=%d", b1.TimeMin, b1.TimeMax+1)},
+				{"core", "core=1"},
+			} {
+				resp, body := getTrace(t, front.URL, info.ID, fc.query)
+				if resp.ContentLength < 0 || len(resp.TransferEncoding) != 0 {
+					t.Errorf("%s: gateway re-framed the sized response: CL=%d TE=%v",
+						fc.name, resp.ContentLength, resp.TransferEncoding)
+				}
+				if resp.ContentLength != int64(len(body)) {
+					t.Errorf("%s: Content-Length %d != body %d bytes", fc.name, resp.ContentLength, len(body))
+				}
+				dresp, direct := getTrace(t, shardURL, inner, fc.query)
+				if got, want := resp.Header.Get("X-Nmo-Trace-Md5"), dresp.Header.Get("X-Nmo-Trace-Md5"); got != want || got == "" {
+					t.Errorf("%s: X-Nmo-Trace-Md5 via gateway %q, shard's %q", fc.name, got, want)
+				}
+				if !bytes.Equal(body, direct) {
+					t.Errorf("%s: gateway bytes (%d) differ from the direct shard fetch (%d)",
+						fc.name, len(body), len(direct))
+				}
+				if fc.name == "unfiltered" && !bytes.Equal(body, stored) {
+					t.Error("unfiltered: relayed bytes differ from the stored blob")
+				}
+			}
+
+			if runtime.GOOS == "linux" && row.plane == "zerocopy" && row.tier == "file" {
+				if n := shardH.ZeroCopy().SendfileBytes(); n == 0 {
+					t.Error("shard served its spill file with zero sendfile bytes")
+				}
+			}
+			if gw.ZeroCopy().FallbackBytes() == 0 {
+				t.Error("gateway relay counted no trace bytes")
+			}
+			// Counters only grow, so reading them before the stats
+			// call keeps the comparison free of late increments.
+			want := shardH.ZeroCopy().SendfileBytes() + shardH.ZeroCopy().FallbackBytes() +
+				gw.ZeroCopy().FallbackBytes()
+			agg, err := client.Stats(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := agg.ZcSendfileBytes + agg.ZcFallbackBytes; got < want {
+				t.Errorf("fleet stats count %d data-plane bytes, members+gateway hold %d", got, want)
+			}
+			if agg.ZcSpliceBytes != 0 {
+				t.Errorf("fleet stats report %d splice bytes; nothing splices", agg.ZcSpliceBytes)
+			}
+		})
+	}
+}
+
+// TestGatewaySpliceRelay keeps the scenario the gateway's old splice
+// relay was built for, now served by the net/http relay: a large blob
+// (far past one relay buffer) demoted to its spill file on a
+// zero-copy shard, fetched through the gateway several times in a row
+// over reused upstream conns, then core-filtered. Every body and MD5
+// header must equal the direct shard fetch, the shard must still
+// sendfile, and nothing may count splice bytes.
+func TestGatewaySpliceRelay(t *testing.T) {
 	cache, err := service.NewCache(service.CacheConfig{Dir: t.TempDir(), MemBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sched := service.NewScheduler(service.SchedConfig{Workers: 1}, cache)
 	t.Cleanup(sched.Close)
-	shard := httptest.NewServer(service.NewServer(sched))
-	t.Cleanup(shard.Close)
-	gw, err := New(Config{Members: []string{shard.URL}, ProbeEvery: 100 * time.Millisecond})
+	shardH := service.NewServer(sched)
+	shardURL := serveZC(t, shardH, shardH.ZeroCopy())
+
+	gw, err := New(Config{Members: []string{shardURL}, ProbeEvery: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(gw.Close)
 	front := httptest.NewServer(gw)
 	t.Cleanup(front.Close)
+	client := service.NewClient(front.URL)
 
-	info := submitWait(t, service.NewClient(front.URL), spec(77))
+	js := spec(31)
+	js.Scenarios[0].Elems = 200_000
+	js.Scenarios[0].Iters = 4
+	js.Scenarios[0].Period = 64
+	info := submitWait(t, client, js)
 	_, inner, err := gw.splitJobID(info.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -429,30 +602,181 @@ func TestGatewayTracePassThrough(t *testing.T) {
 		t.Fatal("job vanished from the shard")
 	}
 	if !job.Artifacts().Traces[0].FileBacked() {
-		t.Fatal("blob not demoted; the test must exercise the disk tier")
+		t.Fatal("blob not demoted; the chain must start at the shard's sendfile tier")
 	}
 
-	resp, err := http.Get(front.URL + "/v1/jobs/" + info.ID + "/trace")
+	direct, md5Direct := fetchTrace(t, service.NewClient(shardURL), inner, service.NewTraceOptions())
+	if len(direct) < 64<<10 {
+		t.Fatalf("fixture blob only %d bytes; too small to outgrow one relay buffer", len(direct))
+	}
+	for i := 0; i < 3; i++ {
+		viaGW, md5GW := fetchTrace(t, client, info.ID, service.NewTraceOptions())
+		if !bytes.Equal(viaGW, direct) {
+			t.Fatalf("fetch %d: gateway bytes (%d) differ from direct shard fetch (%d)",
+				i, len(viaGW), len(direct))
+		}
+		if md5GW != md5Direct {
+			t.Fatalf("fetch %d: MD5 header via gateway %q != shard's %q", i, md5GW, md5Direct)
+		}
+	}
+
+	opt := service.NewTraceOptions()
+	opt.Core = 0
+	viaGW, md5GW := fetchTrace(t, client, info.ID, opt)
+	directF, md5F := fetchTrace(t, service.NewClient(shardURL), inner, opt)
+	if len(viaGW) == 0 || !bytes.Equal(viaGW, directF) || md5GW != md5F {
+		t.Fatalf("core-filtered stream differs through the gateway: %d vs %d bytes, MD5 %q vs %q",
+			len(viaGW), len(directF), md5GW, md5F)
+	}
+
+	if runtime.GOOS == "linux" {
+		if n := shardH.ZeroCopy().SendfileBytes(); n == 0 {
+			t.Error("shard served its spill file with zero sendfile bytes")
+		}
+	}
+	if n := gw.ZeroCopy().FallbackBytes(); n < int64(3*len(direct)) {
+		t.Errorf("gateway relay counted %d bytes, relayed at least %d", n, 3*len(direct))
+	}
+	want := shardH.ZeroCopy().SendfileBytes() + shardH.ZeroCopy().FallbackBytes() +
+		gw.ZeroCopy().FallbackBytes()
+	agg, err := client.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var body bytes.Buffer
-	if _, err := body.ReadFrom(resp.Body); err != nil {
+	if got := agg.ZcSendfileBytes + agg.ZcFallbackBytes; got < want {
+		t.Errorf("fleet stats count %d data-plane bytes, members+gateway hold %d", got, want)
+	}
+	if agg.ZcSpliceBytes != 0 {
+		t.Errorf("fleet stats report %d splice bytes; nothing splices", agg.ZcSpliceBytes)
+	}
+}
+
+// TestGatewayRelayClientCancel pins the stalled-shard escape hatch:
+// a shard that stops sending mid-body must not pin the relay past the
+// downstream request's lifetime. The fake shard promises 1 MiB,
+// delivers 8 KiB, and stalls; the client cancels; the gateway must
+// classify the broken relay as a client abort promptly.
+func TestGatewayRelayClientCancel(t *testing.T) {
+	stall := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Write([]byte("ok\n"))
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/trace", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("X-Nmo-Trace-Md5", "00000000000000000000000000000000")
+		w.Header().Set("Content-Length", strconv.Itoa(1<<20))
+		w.WriteHeader(http.StatusOK)
+		w.Write(make([]byte, 8<<10))
+		w.(http.Flusher).Flush()
+		<-stall // promised 1 MiB, never delivers the rest
+	})
+	shard := httptest.NewServer(mux)
+	t.Cleanup(shard.Close)
+	// Cleanups run last-in first-out: release the stalled handler
+	// before shard.Close waits for it.
+	t.Cleanup(func() { close(stall) })
+
+	gw, err := New(Config{Members: []string{shard.URL}, ProbeEvery: time.Hour})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.ContentLength < 0 || len(resp.TransferEncoding) != 0 {
-		t.Errorf("gateway re-framed the sized response: CL=%d TE=%v",
-			resp.ContentLength, resp.TransferEncoding)
+	t.Cleanup(gw.Close)
+	front := httptest.NewServer(gw)
+	t.Cleanup(front.Close)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, front.URL+"/v1/jobs/s0-jstall/trace", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if resp.ContentLength != int64(body.Len()) {
-		t.Errorf("Content-Length %d != body %d bytes", resp.ContentLength, body.Len())
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	direct, md5Direct := fetchTrace(t, service.NewClient(shard.URL), inner, service.NewTraceOptions())
-	if got := resp.Header.Get("X-Nmo-Trace-Md5"); got != md5Direct {
-		t.Errorf("gateway X-Nmo-Trace-Md5 %q != shard's %q", got, md5Direct)
+	// The delivered prefix must flow through before the stall bites.
+	if _, err := io.CopyN(io.Discard, resp.Body, 8<<10); err != nil {
+		t.Fatalf("reading the delivered prefix: %v", err)
 	}
-	if !bytes.Equal(body.Bytes(), direct) {
-		t.Error("gateway-relayed bytes differ from the direct shard fetch")
+	cancel()
+	resp.Body.Close()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for gw.ZeroCopy().ClientAborts() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("gateway never released the stalled relay after the client canceled")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestGatewayTenantIsolation: in dev-header mode the tenant crosses
+// the gateway hop, and the owning shard answers every by-ID route for
+// another tenant's job with the not_found envelope an unknown ID gets.
+func TestGatewayTenantIsolation(t *testing.T) {
+	f := newFleet(t, 1)
+	do := func(method, path, tenant string) *http.Response {
+		t.Helper()
+		var body io.Reader
+		if method == http.MethodPost {
+			body = strings.NewReader(mustJSON(t, spec(530)))
+		}
+		req, err := http.NewRequest(method, f.front.URL+path, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tenant != "" {
+			req.Header.Set(auth.TenantHeader, tenant)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	resp := do(http.MethodPost, "/v1/jobs", "alice")
+	var info service.JobInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	_, inner, err := f.gw.splitJobID(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, ok := f.scheds[0].Get(inner)
+	if !ok {
+		t.Fatal("job vanished from the shard")
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatal("job did not finish")
+	}
+
+	routes := []struct{ method, suffix string }{
+		{"GET", ""}, {"GET", "/result"}, {"GET", "/trace"}, {"DELETE", ""},
+	}
+	for _, rt := range routes {
+		for _, tenant := range []string{"bob", ""} { // "" = default tenant
+			resp := do(rt.method, "/v1/jobs/"+info.ID+rt.suffix, tenant)
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			var env struct{ Error obs.APIError }
+			json.Unmarshal(raw, &env)
+			if resp.StatusCode != http.StatusNotFound || env.Error.Code != obs.CodeNotFound ||
+				env.Error.Message != fmt.Sprintf("unknown job %q", inner) {
+				t.Errorf("%s %s as %q = %d %s, want the unknown-ID not_found envelope",
+					rt.method, rt.suffix, tenant, resp.StatusCode, raw)
+			}
+		}
+	}
+	for _, rt := range routes {
+		resp := do(rt.method, "/v1/jobs/"+info.ID+rt.suffix, "alice")
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("owner %s %s = %d, want 200", rt.method, rt.suffix, resp.StatusCode)
+		}
 	}
 }

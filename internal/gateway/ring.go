@@ -3,8 +3,8 @@
 // of nmod shards, so identical jobs from any client land on the shard
 // whose single-flight cache already holds (or is computing) the
 // result. It proxies the whole job API — status, cancel, result, and
-// chunked trace streaming with the ?from/to/core push-down intact —
-// and merges /v1/stats across members into one fleet view.
+// sized trace responses with the ?from/to/core push-down intact — and
+// merges /v1/stats across members into one fleet view.
 //
 // Placement must respect the same constraint structure the scheduler's
 // per-backend admission does: a job conflicts with the shard that is

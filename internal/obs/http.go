@@ -145,8 +145,8 @@ func (m *HTTPMetrics) Wrap(route string, next http.Handler) http.Handler {
 
 // responseRecorder captures status and body bytes while staying
 // transparent to the data plane: it forwards Flush (the sendfile
-// header flush) and ReadFrom (the seam net/http's sendfile/splice
-// offload hangs off — wrapping it away would silently degrade every
+// header flush) and ReadFrom (the seam net/http's sendfile offload
+// hangs off — wrapping it away would silently degrade every
 // zero-copy serve to the buffered fallback).
 type responseRecorder struct {
 	w      http.ResponseWriter
@@ -180,8 +180,8 @@ func (r *responseRecorder) Flush() {
 
 // ReadFrom keeps io.Copy offload-eligible: the source reaches the
 // underlying ResponseWriter's ReaderFrom intact (net/http hands it to
-// the connection, where zerocopy.Conn recognizes File/SocketSections
-// and drives sendfile/splice). Without a ReaderFrom seam here, the
+// the connection, where zerocopy.Conn recognizes a FileSection and
+// drives sendfile). Without a ReaderFrom seam here, the
 // instrumented handler would copy through a buffer instead.
 func (r *responseRecorder) ReadFrom(src io.Reader) (int64, error) {
 	r.wrote = true

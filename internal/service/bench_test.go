@@ -198,7 +198,7 @@ func BenchmarkTraceServeFile(b *testing.B) {
 // same demoted blob over real TCP: "sendfile" serves through a
 // wrapped listener (the production wiring — the body leaves via
 // sendfile(2) and never crosses user space), "fallback" through a
-// plain listener (the pooled 256 KiB copy). Both legs are driven by
+// plain listener (pread through net/http's copy). Both legs are driven by
 // the same raw keep-alive client that discards bodies through
 // zerocopy.Drainer (splice → /dev/null), so the receive side costs
 // page accounting on either leg — like a remote peer's NIC — instead

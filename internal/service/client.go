@@ -198,9 +198,9 @@ type TraceOptions struct {
 func NewTraceOptions() TraceOptions { return TraceOptions{Core: -1} }
 
 // Trace opens a job's v2 trace stream. The returned reader is the raw
-// chunked body (a valid v2 file); md5hex carries the X-Nmo-Trace-Md5
-// header on unfiltered streams ("" when filtered — a restreamed trace
-// carries its checksum in its own tail). The caller closes the reader.
+// body (a valid v2 file); md5hex carries the X-Nmo-Trace-Md5 header:
+// the stored blob's rolling MD5 unfiltered, the filtered stream's own
+// checksum (also in its tail) filtered. The caller closes the reader.
 func (c *Client) Trace(ctx context.Context, id string, opt TraceOptions) (body io.ReadCloser, md5hex string, err error) {
 	q := url.Values{}
 	if opt.Scenario != "" {
@@ -236,7 +236,7 @@ func (c *Client) Trace(ctx context.Context, id string, opt TraceOptions) (body i
 }
 
 // DownloadTrace streams a job's trace to w and returns the bytes
-// written plus the advertised MD5 (unfiltered streams only).
+// written plus the advertised MD5.
 func (c *Client) DownloadTrace(ctx context.Context, id string, opt TraceOptions, w io.Writer) (int64, string, error) {
 	body, md5hex, err := c.Trace(ctx, id, opt)
 	if err != nil {

@@ -136,16 +136,18 @@ func (m *Metrics) PhaseStats() []PhaseStat {
 }
 
 // RegisterDataPlane folds a zerocopy.Counters into a registry as
-// func-backed metrics: the three byte paths of the trace data plane
-// (they sum to total trace bytes served) and the terminal copy
-// outcome classification. Shared by the shard server and the gateway
-// — each tier registers its own counters into its own registry.
+// func-backed metrics: the byte paths of the trace data plane (they
+// sum to total trace bytes served) and the terminal copy outcome
+// classification. The splice path no longer exists and always reads
+// 0; the series stays so dashboards keep their shape. Shared by the
+// shard server and the gateway — each tier registers its own counters
+// into its own registry.
 func RegisterDataPlane(reg *obs.Registry, zc *zerocopy.Counters) {
 	reg.CounterFunc("nmo_zc_bytes_total",
 		"Trace body bytes moved, by data-plane path (sendfile/splice/fallback).",
 		func() float64 { return float64(zc.SendfileBytes()) }, obs.L("path", "sendfile"))
 	reg.CounterFunc("nmo_zc_bytes_total", "",
-		func() float64 { return float64(zc.SpliceBytes()) }, obs.L("path", "splice"))
+		func() float64 { return 0 }, obs.L("path", "splice"))
 	reg.CounterFunc("nmo_zc_bytes_total", "",
 		func() float64 { return float64(zc.FallbackBytes()) }, obs.L("path", "fallback"))
 	reg.CounterFunc("nmo_trace_client_aborts_total",

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -27,11 +28,15 @@ import (
 //	GET    /v1/stats             SchedStats
 //	GET    /v1/healthz           200 "ok"
 //
-// Unfiltered trace responses are the stored blob verbatim — byte-
-// identical to the v2 file the same scenario writes locally — with the
-// stream's rolling MD5 in X-Nmo-Trace-Md5. Filtered responses are a
-// fresh v2 stream (own index, own checksum) restreamed through the
-// block-skip push-down.
+// Every trace response is one span plan: sized, with the stream's
+// rolling MD5 in X-Nmo-Trace-Md5. Unfiltered it is the stored blob
+// verbatim — byte-identical to the v2 file the same scenario writes
+// locally. Filtered it is a fresh v2 stream (own index, own checksum)
+// planned through the block-skip push-down.
+//
+// Job routes answer only the tenant that submitted the job: any other
+// tenant gets the same not_found envelope as an unknown ID, so a job's
+// existence does not leak across tenants.
 //
 // Every non-2xx response is the standard JSON error envelope
 // ({"error": {"code", "message", "request_id"}}); /v1/healthz,
@@ -133,11 +138,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, job.Info())
 }
 
-// job resolves the {id} path value, writing the 404 itself on a miss.
+// job resolves the {id} path value to a job of the request's tenant,
+// writing the 404 itself on a miss. Another tenant's job is a miss.
 func (s *Server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	id := r.PathValue("id")
 	j, ok := s.sched.Get(id)
-	if !ok {
+	if !ok || j.Tenant != auth.TenantFrom(r.Context()) {
 		obs.WriteError(w, r, http.StatusNotFound, obs.CodeNotFound, fmt.Sprintf("unknown job %q", id))
 		return nil, false
 	}
@@ -165,7 +171,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	st := s.sched.Stats()
 	st.ZcSendfileBytes = s.zc.SendfileBytes()
-	st.ZcSpliceBytes = s.zc.SpliceBytes()
 	st.ZcFallbackBytes = s.zc.FallbackBytes()
 	st.TraceClientAborts = s.zc.ClientAborts()
 	st.TraceServeErrors = s.zc.Errors()
@@ -231,7 +236,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	// Pin the blob's current backing for this request: resident bytes,
 	// or an open handle on its spill file (which keeps serving even if
 	// the cache deletes the file mid-response).
-	_, h, bk, err := blob.open()
+	data, h, bk, err := blob.open()
 	if err != nil || bk == nil {
 		obs.WriteError(w, r, http.StatusNotFound, obs.CodeNotFound,
 			fmt.Sprintf("job %s: trace evicted from cache: %v", j.ID, err))
@@ -240,162 +245,84 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if h != nil {
 		defer bk.releaseFile(h)
 	}
-
-	zc := zerocopy.FromContext(r.Context())
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if !filtered {
-		// Unfiltered: the stored bytes verbatim. The rolling MD5 is
-		// echoed so clients can verify without reading the tail first;
-		// Content-Length lets them preallocate and keeps the response
-		// sized through the proxy hop (and eligible for kernel
-		// offload). Three tiers, best first:
-		//
-		//   1. file-backed on a zero-copy conn — flush the sized
-		//      header, then io.Copy hands the pooled handle's
-		//      FileSection to the connection's ReadFrom, which drives
-		//      sendfile(2) on its cached raw fd: no per-request
-		//      allocation, no user-space byte.
-		//   2. file-backed otherwise (httptest, TLS, non-Linux, or the
-		//      kernel refused) — the classic pooled 256 KiB copy, zero
-		//      allocations in steady state.
-		//   3. memory-resident — one WriteTo straight out of the
-		//      resident slice through a pooled reader.
-		w.Header().Set("X-Nmo-Trace-Md5", hex.EncodeToString(blob.MD5[:]))
-		w.Header().Set("Content-Length", strconv.FormatInt(blob.Size(), 10))
-		w.WriteHeader(http.StatusOK)
-		var copyErr error
-		switch {
-		case h != nil && zc != nil:
-			flushHeader(w)
-			h.fs.Set(h.f, 0, blob.Size())
-			_, copyErr = io.Copy(w, &h.fs) // sendfile; bytes counted conn-side
-		case h != nil:
-			if h.buf == nil {
-				h.buf = make([]byte, 256<<10)
-			}
-			h.lr = io.LimitedReader{R: h.f, N: blob.Size()}
-			h.out.w = w
-			n, err := io.CopyBuffer(&h.out, &h.lr, h.buf)
-			h.out.w = nil
-			s.zc.AddFallback(n)
-			copyErr = err
-		default:
-			mr := bk.acquireMem()
-			n, err := io.Copy(w, mr)
-			bk.releaseMem(mr)
-			s.zc.AddFallback(n)
-			copyErr = err
-		}
-		s.zc.CountCopyErr(r.Context(), copyErr)
-		return
-	}
-
-	// Filtered, file-backed, no core predicate: serve from a span
-	// plan. The plan is the RestreamExact output described as literal
-	// segments (header, straddler blocks, footer) plus (offset,
-	// length) extents of provably-whole stored blocks — so the size
-	// and checksum are known before the first byte (a sized response
-	// with X-Nmo-Trace-Md5, which the gateway passes through), and
-	// every whole-block run sendfiles verbatim from the spill file on
-	// a zero-copy conn. Only straddlers and the envelope touch user
-	// space. Core filters are excluded: CoreMask aliases at 64 cores,
-	// so no block is ever provably whole and a plan would buffer the
-	// entire filtered stream.
-	if h != nil && core < 0 {
-		rd, err := trace.OpenV2(io.NewSectionReader(h.f, 0, blob.Size()))
-		if err != nil {
-			obs.WriteError(w, r, http.StatusInternalServerError, obs.CodeInternal, err.Error())
-			return
-		}
-		plan, err := trace.RestreamPlanExact(rd, lo, hi, core)
-		if err != nil {
-			obs.WriteError(w, r, http.StatusInternalServerError, obs.CodeInternal, err.Error())
-			return
-		}
-		w.Header().Set("X-Nmo-Trace-Md5", hex.EncodeToString(plan.MD5[:]))
-		w.Header().Set("Content-Length", strconv.FormatInt(plan.Size, 10))
-		w.WriteHeader(http.StatusOK)
-		flushHeader(w)
-		s.zc.CountCopyErr(r.Context(), s.servePlan(w, h, plan, zc))
-		return
-	}
-
-	// Filtered, memory-tier or core-predicated: restream chunked
-	// through the block-skip push-down, as before. Blocks the index
-	// proves entirely inside the predicate are spliced in their stored
-	// form; straddlers are exact-filtered. Errors past the header
-	// surface as a truncated chunked body (the client's OpenV2
-	// rejects it).
-	var src io.ReadSeeker
-	if h != nil {
-		src = io.NewSectionReader(h.f, 0, blob.Size())
-	} else {
-		mr := bk.acquireMem()
-		defer bk.releaseMem(mr)
-		src = mr
-	}
-	rd, err := trace.OpenV2(src)
+	plan, err := tracePlan(blob, data, h, lo, hi, core, filtered)
 	if err != nil {
 		obs.WriteError(w, r, http.StatusInternalServerError, obs.CodeInternal, err.Error())
 		return
 	}
+
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("X-Nmo-Trace-Md5", hex.EncodeToString(plan.MD5[:]))
+	w.Header().Set("Content-Length", strconv.FormatInt(plan.Size, 10))
 	w.WriteHeader(http.StatusOK)
-	cw := countWriter{w: w}
-	_, _, err = trace.RestreamExact(rd, &cw, lo, hi, core)
-	s.zc.AddFallback(cw.n)
-	s.zc.CountCopyErr(r.Context(), err)
+	s.zc.CountCopyErr(r.Context(), s.servePlan(w, r, plan, data, h))
 }
 
-// servePlan streams a span plan: literal segments through the normal
-// write path, extents through the handle's FileSection — sendfile on a
-// zero-copy conn, pread copy anywhere else. Byte-identical to the
-// chunked restream of the same predicate. On a wrapped conn the extent
-// bytes are credited conn-side (sendfile or fallback) by Conn.ReadFrom;
-// on anything else they stream through FileSection.Read invisibly, so
-// they are counted as fallback here to keep sendfile+splice+fallback
-// summing to total trace bytes served.
-func (s *Server) servePlan(w http.ResponseWriter, h *fileHandle, plan *trace.RestreamPlan, zc *zerocopy.Conn) error {
+// tracePlan describes one trace response as a span plan. Unfiltered,
+// it is the stored blob as a single extent with the blob's MD5 —
+// byte-identical to the file a local run writes. Filtered, it is
+// RestreamPlanExact over the blob's resident or spilled bytes: whole
+// blocks as extents of the blob, straddlers and everything a core
+// filter keeps as literal bytes.
+func tracePlan(blob *TraceBlob, data []byte, h *fileHandle, lo, hi uint64, core int, filtered bool) (*trace.RestreamPlan, error) {
+	if !filtered {
+		return &trace.RestreamPlan{
+			Segments: []trace.PlanSegment{{Len: blob.Size()}},
+			Size:     blob.Size(),
+			MD5:      blob.MD5,
+		}, nil
+	}
+	var src io.ReadSeeker = bytes.NewReader(data)
+	if h != nil {
+		src = io.NewSectionReader(h.f, 0, blob.Size())
+	}
+	rd, err := trace.OpenV2(src)
+	if err != nil {
+		return nil, err
+	}
+	return trace.RestreamPlanExact(rd, lo, hi, core)
+}
+
+// servePlan writes a span plan's body: literals with Write, extents
+// either straight out of the resident slice or through the handle's
+// FileSection. On a zero-copy conn the FileSection reaches Conn.ReadFrom
+// and moves by sendfile(2), credited conn-side; anywhere else it is
+// pread through net/http's copy. Every byte that does not go through
+// the conn's own accounting is counted as fallback here, so
+// sendfile+fallback sums to the trace bytes served.
+func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, plan *trace.RestreamPlan, data []byte, h *fileHandle) error {
+	zc := zerocopy.FromContext(r.Context()) != nil
+	if h != nil && zc {
+		// Push the header onto the wire so net/http hands each extent
+		// to the conn's ReadFrom whole.
+		if fl, ok := w.(http.Flusher); ok {
+			fl.Flush()
+		}
+	}
 	for _, seg := range plan.Segments {
-		if seg.Data != nil {
-			n, err := w.Write(seg.Data)
-			s.zc.AddFallback(int64(n))
-			if err != nil {
-				return err
+		p := seg.Data
+		if p == nil && h == nil {
+			p = data[seg.SrcOff : seg.SrcOff+seg.Len]
+		}
+		var n int64
+		var err error
+		if p != nil {
+			var m int
+			m, err = w.Write(p)
+			n = int64(m)
+		} else {
+			h.fs.Set(h.f, seg.SrcOff, seg.Len)
+			n, err = io.Copy(w, &h.fs)
+			if zc {
+				n = 0 // credited by Conn.ReadFrom
 			}
-			continue
 		}
-		h.fs.Set(h.f, seg.SrcOff, seg.Len)
-		n, err := io.Copy(w, &h.fs)
-		if zc == nil {
-			s.zc.AddFallback(n)
-		}
+		s.zc.AddFallback(n)
 		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// flushHeader pushes the written header onto the wire so net/http's
-// ReadFrom skips its 512-byte sniff prefix and hands the entire body
-// to the connection in one go.
-func flushHeader(w http.ResponseWriter) {
-	if fl, ok := w.(http.Flusher); ok {
-		fl.Flush()
-	}
-}
-
-// countWriter tallies the bytes a chunked restream pushes through the
-// user-space path, so fallback accounting covers filtered serves too.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
 }
 
 // traceFilter parses ?from/?to/?core into the canonical trace

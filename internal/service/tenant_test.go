@@ -2,11 +2,13 @@ package service
 
 import (
 	"fmt"
+	"net/http"
 	"reflect"
 	"testing"
 	"time"
 
 	"nmo/internal/auth"
+	"nmo/internal/obs"
 )
 
 // defaultQueue returns the default tenant's queue; callers hold s.mu.
@@ -262,4 +264,58 @@ func TestTenantQuotaReleasedOnCancel(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	waitDone(t, plug)
+}
+
+// TestJobRoutesTenantIsolated: a job is visible only to the tenant
+// that submitted it. Every by-ID route answers another tenant with the
+// exact not_found envelope an unknown ID gets, so the job's existence
+// does not leak, and the owner keeps full access.
+func TestJobRoutesTenantIsolated(t *testing.T) {
+	srv, sched, _ := newTestServer(t, SchedConfig{Workers: 1})
+	j, err := sched.SubmitTenant(quickJob(61), "", "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+
+	do := func(method, path, tenant string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tenant != "" {
+			req.Header.Set(auth.TenantHeader, tenant)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	routes := []struct{ method, suffix string }{
+		{"GET", ""}, {"GET", "/result"}, {"GET", "/trace"}, {"DELETE", ""},
+	}
+	for _, rt := range routes {
+		for _, tenant := range []string{"bob", ""} { // "" = default tenant
+			resp := do(rt.method, "/v1/jobs/"+j.ID+rt.suffix, tenant)
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s %s as %q = %d, want 404", rt.method, rt.suffix, tenant, resp.StatusCode)
+			}
+			env := decodeEnvelope(t, resp)
+			if env.Code != obs.CodeNotFound || env.Message != fmt.Sprintf("unknown job %q", j.ID) {
+				t.Errorf("%s %s as %q: envelope %+v differs from an unknown ID's", rt.method, rt.suffix, tenant, env)
+			}
+		}
+	}
+	for _, rt := range routes {
+		resp := do(rt.method, "/v1/jobs/"+j.ID+rt.suffix, "alice")
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("owner %s %s = %d, want 200", rt.method, rt.suffix, resp.StatusCode)
+		}
+	}
+	if st := j.Info().State; st != StateDone {
+		t.Errorf("job state %s after cross-tenant DELETE, want done", st)
+	}
 }

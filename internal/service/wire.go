@@ -18,8 +18,8 @@
 //     vs jobs=N MD5-pinned since PR 1), so identical submissions are
 //     answered from the cache — concurrent identical submissions
 //     coalesce onto one leader run and nothing simulates twice.
-//   - Streaming delivery: a finished job's v2 trace blobs are served
-//     over chunked HTTP, with ?from/to/core mapped onto the trace
+//   - Trace delivery: a finished job's v2 trace blobs are served as
+//     sized HTTP responses, with ?from/to/core mapped onto the trace
 //     package's ScanHints block-skip push-down, and its aggregate
 //     summary (tables, percentiles, Eq. 1 accuracy) as JSON.
 //
@@ -276,12 +276,13 @@ type SchedStats struct {
 	Queued  int `json:"queued"`
 	Running int `json:"running"`
 	// The zero-copy data plane's byte accounting: trace body bytes
-	// moved by sendfile(2) (shard spill file → socket), by splice(2)
-	// (upstream socket → client socket on the gateway hop), and
-	// through the user-space fallback copy (memory-tier blobs,
-	// straddler blocks, unwrapped/TLS conns, non-Linux builds). The
-	// three sum to total trace bytes served, so the kernel-offload
-	// ratio is directly readable. TraceClientAborts / TraceServeErrors
+	// moved by sendfile(2) (shard spill file → socket) and through the
+	// user-space copy (memory-tier blobs, plan literals, unwrapped/TLS
+	// conns, the gateway relay, non-Linux builds). The two sum to total
+	// trace bytes served, so the kernel-offload ratio is directly
+	// readable. ZcSpliceBytes always reads 0: the gateway's splice
+	// relay is gone and the field stays for compatibility.
+	// TraceClientAborts / TraceServeErrors
 	// split terminal copy failures into "client went away" vs "disk or
 	// upstream broke" — previously both were dropped on the floor.
 	ZcSendfileBytes   int64  `json:"zc_sendfile_bytes"`

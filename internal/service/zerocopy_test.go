@@ -3,23 +3,29 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
+	"strconv"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"nmo/internal/trace"
+	"nmo/internal/trace/tracetest"
 	"nmo/internal/zerocopy"
 )
 
 // zcServer is a real-TCP server wired exactly like cmd/nmod: wrapped
 // listener + ConnContext, so accepted conns carry the zero-copy state
-// and /trace serves take the sendfile/span-plan tiers. httptest can't
-// stand in here — its conns are never wrapped, so it only ever
-// exercises the fallback copy.
+// and file-tier plan extents move by sendfile. httptest can't stand in
+// here — its conns are never wrapped, so it only ever exercises the
+// fallback copy.
 type zcServer struct {
 	h       *Server
 	client  *Client
@@ -71,13 +77,62 @@ func newZCServer(t *testing.T, sched *Scheduler) *zcServer {
 	}
 }
 
-// TestTraceServeMatrix crosses every serve tier the zero-copy rework
-// introduced: storage tier (memory vs spill file) × format (v2 vs
-// v2.1) × filter (none → sendfile, time-range → span plan, core →
-// chunked restream) × data plane (wrapped real-TCP conn vs unwrapped
-// httptest conn, the forced-fallback path). Every cell must produce
-// byte-identical bodies and identical X-Nmo-Trace-Md5 headers across
-// the two data planes — kernel offload may never change the wire.
+// getTrace fetches a trace over plain HTTP so the test sees the
+// response framing: body, X-Nmo-Trace-Md5, and Content-Length (-1 when
+// the response was not sized).
+func getTrace(t *testing.T, base, id string, lo, hi uint64, core int) ([]byte, string, int64) {
+	t.Helper()
+	q := url.Values{}
+	if lo != 0 {
+		q.Set("from", strconv.FormatUint(lo, 10))
+	}
+	if hi != 0 {
+		q.Set("to", strconv.FormatUint(hi, 10))
+	}
+	if core >= 0 {
+		q.Set("core", strconv.Itoa(core))
+	}
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/trace?" + q.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("trace [%d,%d) core %d: %d %v: %s", lo, hi, core, resp.StatusCode, err, body)
+	}
+	return body, resp.Header.Get("X-Nmo-Trace-Md5"), resp.ContentLength
+}
+
+// extentBytes sums the bytes a request's plan lifts from the stored
+// blob as extents: all of it unfiltered, the provably whole blocks
+// under a filter.
+func extentBytes(t *testing.T, rd *trace.ReaderV2, size int, lo, hi uint64, core int) int64 {
+	t.Helper()
+	if lo == 0 && hi == 0 && core < 0 {
+		return int64(size)
+	}
+	plan, err := trace.RestreamPlanExact(rd, lo, hi, core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, seg := range plan.Segments {
+		if seg.Data == nil {
+			n += seg.Len
+		}
+	}
+	return n
+}
+
+// TestTraceServeMatrix crosses every dimension of the trace serve
+// path: storage tier (memory vs spill file) × format (v2 vs v2.1) ×
+// filter (none, time range, full span, core) × data plane (wrapped
+// real-TCP conn vs unwrapped httptest conn). Every cell is one span
+// plan, so every response must be sized, carry an X-Nmo-Trace-Md5
+// equal to its body's rolling MD5, and hold exactly the naive
+// oracle's bytes — kernel offload and storage tier may never change
+// the wire.
 func TestTraceServeMatrix(t *testing.T) {
 	ctx := context.Background()
 	for _, tier := range []string{"memory", "file"} {
@@ -96,8 +151,11 @@ func TestTraceServeMatrix(t *testing.T) {
 				sched := NewScheduler(SchedConfig{Workers: 1}, cache)
 				t.Cleanup(sched.Close)
 
+				// Small blocks give every window whole blocks (extents)
+				// between its straddlers (literals).
 				spec := quickJob(91)
 				spec.Scenarios[0].Compress = compress
+				spec.Scenarios[0].BlockSamples = 32
 				blob := runJob(t, sched, spec)
 				if (tier == "file") != blob.FileBacked() {
 					t.Fatalf("blob file-backed = %v in %s tier", blob.FileBacked(), tier)
@@ -108,7 +166,6 @@ func TestTraceServeMatrix(t *testing.T) {
 				zc := newZCServer(t, sched)
 				fb := httptest.NewServer(NewServer(sched))
 				t.Cleanup(fb.Close)
-				fbClient := NewClient(fb.URL)
 
 				// Resubmit via HTTP to learn the job ID each client sees
 				// (same content address → cache hit, no second run).
@@ -118,74 +175,86 @@ func TestTraceServeMatrix(t *testing.T) {
 				}
 				id := info.ID
 
-				rd, err := trace.OpenV2(bytes.NewReader(blobBytes(t, blob)))
+				stored := blobBytes(t, blob)
+				rd, err := trace.OpenV2(bytes.NewReader(stored))
 				if err != nil {
 					t.Fatal(err)
 				}
-				lo, hi := rd.Block(0).TimeMin, rd.Block(rd.NumBlocks()-1).TimeMax
-				// A middle window exercises the plan's literal
-				// (straddler) segments; the full span makes every block
-				// provably whole, so its extents must sendfile.
-				ranged := NewTraceOptions()
-				ranged.FromNs, ranged.ToNs = lo+(hi-lo)/4, lo+3*(hi-lo)/4
-				fullspan := NewTraceOptions()
-				fullspan.FromNs, fullspan.ToNs = lo, hi+1
-				byCore := NewTraceOptions()
-				byCore.Core = 1
-
+				if rd.NumBlocks() < 8 {
+					t.Fatalf("fixture has %d blocks, want at least 8", rd.NumBlocks())
+				}
+				lo, hi := rd.Block(0).TimeMin, rd.Block(0).TimeMax
+				for i := 1; i < rd.NumBlocks(); i++ {
+					lo, hi = min(lo, rd.Block(i).TimeMin), max(hi, rd.Block(i).TimeMax)
+				}
+				// Block 1's time range holds block 1 whole (an extent)
+				// and cuts the other per-core blocks (literal
+				// straddlers); the full span makes every block provably
+				// whole; a core filter keeps only literals.
+				b1 := rd.Block(1)
+				var wantSF int64
 				for _, fc := range []struct {
-					name string
-					opt  TraceOptions
+					name   string
+					lo, hi uint64
+					core   int
 				}{
-					{"unfiltered", NewTraceOptions()},
-					{"timerange", ranged},
-					{"fullspan", fullspan},
-					{"core", byCore},
+					{"unfiltered", 0, 0, -1},
+					{"timerange", b1.TimeMin, b1.TimeMax + 1, -1},
+					{"fullspan", lo, hi + 1, -1},
+					{"core", 0, 0, 1},
 				} {
-					sfBefore := zc.h.ZeroCopy().SendfileBytes()
-					var zcBuf, fbBuf bytes.Buffer
-					_, zcMD5, err := zc.client.DownloadTrace(ctx, id, fc.opt, &zcBuf)
+					want, err := tracetest.Restream(rd, fc.lo, fc.hi, fc.core)
 					if err != nil {
-						t.Fatalf("%s via zerocopy: %v", fc.name, err)
+						t.Fatal(err)
 					}
-					_, fbMD5, err := fbClient.DownloadTrace(ctx, id, fc.opt, &fbBuf)
-					if err != nil {
-						t.Fatalf("%s via fallback: %v", fc.name, err)
+					if fc.name == "unfiltered" && !bytes.Equal(want, stored) {
+						t.Fatal("unfiltered oracle differs from the stored blob")
 					}
-					if !bytes.Equal(zcBuf.Bytes(), fbBuf.Bytes()) {
-						t.Errorf("%s: zerocopy and fallback bodies differ (%d vs %d bytes)",
-							fc.name, zcBuf.Len(), fbBuf.Len())
-					}
-					if zcMD5 != fbMD5 {
-						t.Errorf("%s: X-Nmo-Trace-Md5 differs: zerocopy %q, fallback %q",
-							fc.name, zcMD5, fbMD5)
-					}
-					if _, err := trace.OpenV2(bytes.NewReader(zcBuf.Bytes())); err != nil {
-						t.Errorf("%s: served stream is not a valid v2 file: %v", fc.name, err)
-					}
-
-					// The kernel-offload tiers must actually engage on
-					// Linux: unfiltered file serves sendfile the whole
-					// blob, and full-span file serves sendfile their
-					// span-plan extents — every block is provably whole
-					// there. (The middle window may hold only straddler
-					// blocks in a small fixture, and core filters alias
-					// through CoreMask, so neither promises extents.)
-					if runtime.GOOS == "linux" && tier == "file" &&
-						(fc.name == "unfiltered" || fc.name == "fullspan") {
-						if got := zc.h.ZeroCopy().SendfileBytes(); got <= sfBefore {
-							t.Errorf("%s: sendfile bytes did not grow (%d → %d)",
-								fc.name, sfBefore, got)
+					for _, plane := range []struct {
+						name, base string
+					}{
+						{"wrapped", zc.client.Base},
+						{"httptest", fb.URL},
+					} {
+						body, md5hex, size := getTrace(t, plane.base, id, fc.lo, fc.hi, fc.core)
+						cell := fc.name + "/" + plane.name
+						if !bytes.Equal(body, want) {
+							t.Errorf("%s: body differs from the oracle (%d vs %d bytes)", cell, len(body), len(want))
 						}
-					}
-					// The span plan makes filtered file-tier responses
-					// sized and checksummed; the other filtered cells
-					// stay chunked and headerless.
-					wantMD5 := fc.name == "unfiltered" ||
-						(tier == "file" && (fc.name == "timerange" || fc.name == "fullspan"))
-					if (zcMD5 != "") != wantMD5 {
-						t.Errorf("%s/%s: md5 header presence = %t, want %t",
-							tier, fc.name, zcMD5 != "", wantMD5)
+						if size != int64(len(body)) {
+							t.Errorf("%s: Content-Length %d, body %d bytes", cell, size, len(body))
+						}
+						got, err := trace.OpenV2(bytes.NewReader(body))
+						if err != nil {
+							t.Fatalf("%s: served stream is not a valid v2 file: %v", cell, err)
+						}
+						sum, err := got.VerifyMD5()
+						if err != nil || md5hex != hex.EncodeToString(sum[:]) {
+							t.Errorf("%s: X-Nmo-Trace-Md5 %q, body rolling MD5 %x (%v)", cell, md5hex, sum, err)
+						}
+
+						// The kernel-offload path must actually engage on
+						// Linux: every extent of a file-tier plan on the
+						// wrapped conn moves by sendfile — the whole blob
+						// unfiltered, every block on the full span, block 1
+						// in the time range. (Core filters alias through
+						// CoreMask, so they never have extents.) The conn
+						// credits the bytes after the last one is sent, so
+						// wait for the count to land.
+						if runtime.GOOS == "linux" && tier == "file" && plane.name == "wrapped" {
+							n := extentBytes(t, rd, len(stored), fc.lo, fc.hi, fc.core)
+							if (n > 0) != (fc.name != "core") {
+								t.Fatalf("%s: plan has %d extent bytes", cell, n)
+							}
+							wantSF += n
+						}
+						deadline := time.Now().Add(5 * time.Second)
+						for zc.h.ZeroCopy().SendfileBytes() != wantSF && time.Now().Before(deadline) {
+							time.Sleep(time.Millisecond)
+						}
+						if got := zc.h.ZeroCopy().SendfileBytes(); got != wantSF {
+							t.Errorf("%s: sendfile bytes %d, want %d", cell, got, wantSF)
+						}
 					}
 				}
 			})
@@ -195,7 +264,7 @@ func TestTraceServeMatrix(t *testing.T) {
 
 // TestTraceServeKeepAlive proves the sendfile path preserves HTTP/1.1
 // framing: ten sequential downloads (unfiltered + filtered, so both
-// the offload and chunked paths run) over one client must reuse one
+// the whole-blob and filtered plans run) over one client must reuse one
 // TCP conn — if sendfile bytes escaped net/http's response accounting,
 // the Content-Length bookkeeping would break and the conn would die
 // after the first response.

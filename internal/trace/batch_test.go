@@ -156,113 +156,3 @@ func TestTeeBatchStopsAtFirstError(t *testing.T) {
 		t.Error("sink after the failing one still received the batch")
 	}
 }
-
-// restreamExactFixture builds a reader with known block geometry:
-// 100 samples, block size 40, timestamps 1000·(i+1), cores i%4.
-func restreamExactFixture(t *testing.T, compress bool) (*ReaderV2, []Sample) {
-	t.Helper()
-	meta := Meta{Workload: "wl", Regions: []string{"a", "b"}, Kernels: []string{"k"}}
-	newW := NewWriterV2
-	if compress {
-		newW = NewWriterV21
-	}
-	var buf bytes.Buffer
-	w, err := newW(&buf, meta, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var samples []Sample
-	for i := 0; i < 100; i++ {
-		s := Sample{
-			TimeNs: uint64(1000 * (i + 1)),
-			Core:   int16(i % 4),
-			VA:     uint64(0x1000 + i),
-			Lat:    uint16(10 + i%7),
-			Region: int16(i % 2),
-		}
-		samples = append(samples, s)
-		if err := w.Emit(&s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := OpenV2(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rd, samples
-}
-
-func TestRestreamExact(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		rd, samples := restreamExactFixture(t, compress)
-
-		// Unfiltered: every block splices; output MD5s to the source.
-		var out bytes.Buffer
-		n, spliced, err := RestreamExact(rd, &out, 0, 0, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != 100 || spliced != rd.NumBlocks() {
-			t.Errorf("compress=%t: n=%d spliced=%d of %d blocks", compress, n, spliced, rd.NumBlocks())
-		}
-		rd2, err := OpenV2(bytes.NewReader(out.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rd2.MD5() != rd.MD5() {
-			t.Errorf("compress=%t: unfiltered splice changed the MD5", compress)
-		}
-		if rd2.Compressed() != compress {
-			t.Errorf("compress=%t: splice changed the format", compress)
-		}
-
-		// Block-aligned time window [40_001, 80_001): block 1 (samples
-		// 40..79) is wholly inside, blocks 0 and 2 are ruled out by the
-		// index — exactly one splice, zero re-encoded samples.
-		out.Reset()
-		n, spliced, err = RestreamExact(rd, &out, 40_001, 80_001, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != 40 || spliced != 1 {
-			t.Errorf("compress=%t aligned: n=%d spliced=%d, want 40/1", compress, n, spliced)
-		}
-
-		// Unaligned window + core filter: no splice possible; the output
-		// must hold exactly the matching samples, in order.
-		out.Reset()
-		lo, hi, core := uint64(30_000), uint64(60_000), 1
-		n, spliced, err = RestreamExact(rd, &out, lo, hi, core)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if spliced != 0 {
-			t.Errorf("compress=%t filtered: spliced %d blocks on a core filter", compress, spliced)
-		}
-		var want []Sample
-		for _, s := range samples {
-			if s.TimeNs >= lo && s.TimeNs < hi && int(s.Core) == core {
-				want = append(want, s)
-			}
-		}
-		if n != uint64(len(want)) {
-			t.Fatalf("compress=%t filtered: n=%d, want %d", compress, n, len(want))
-		}
-		rd3, err := OpenV2(bytes.NewReader(out.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []Sample
-		if err := rd3.Scan(ScanHints{}, func(s *Sample) { got = append(got, *s) }); err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("compress=%t filtered: sample %d = %+v, want %+v", compress, i, got[i], want[i])
-			}
-		}
-	}
-}

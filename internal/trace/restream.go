@@ -1,79 +1,68 @@
 package trace
 
-import "io"
-
-// Restream writes a filtered copy of an open v2 trace to w as a fresh,
-// self-describing v2 stream: blocks the hints rule out are skipped via
-// the footer index (their bytes are never read), surviving samples are
-// exact-filtered by keep and re-emitted through a new WriterV2 with its
-// own index and rolling MD5. blockSamples <= 0 keeps the source's
-// block granularity.
-//
-// This is the push-down boundary of the service layer's trace
-// endpoint: ?from/to/core become ScanHints (block skip on the server's
-// stored blob) plus a keep predicate (exact trim of the admitted
-// blocks), and the client receives a valid v2 file it can verify and
-// re-query locally. A nil keep with zero hints degenerates to a block-
-// by-block copy — but callers that want the original bytes (and the
-// original checksum) should serve the blob directly instead.
-//
-// Returns the number of samples written.
-func Restream(rd *ReaderV2, w io.Writer, h ScanHints, keep func(*Sample) bool, blockSamples int) (uint64, error) {
-	if blockSamples <= 0 {
-		blockSamples = rd.blockSamples
-	}
-	wr, err := NewWriterV2(w, rd.Meta(), blockSamples)
-	if err != nil {
-		return 0, err
-	}
-	scanErr := rd.Scan(h, func(s *Sample) {
-		if err != nil || (keep != nil && !keep(s)) {
-			return
-		}
-		err = wr.Emit(s)
-	})
-	if scanErr != nil {
-		return wr.Total(), scanErr
-	}
-	if err != nil {
-		return wr.Total(), err
-	}
-	return wr.Total(), wr.Close()
+// PlanSegment is one piece of a span plan, in output order: either
+// literal bytes (Data non-nil — the header, re-encoded straddler
+// blocks, footer index, and tail) or an extent of Len stored bytes to
+// lift verbatim from the source stream at SrcOff.
+type PlanSegment struct {
+	Data   []byte
+	SrcOff int64
+	Len    int64
 }
 
-// RestreamExact writes a filtered copy of rd to w under the canonical
+// RestreamPlan is a trace response described as segments instead of a
+// byte stream. Concatenating the segments (reading extents from the
+// source) yields the response body; Size and MD5 are known before the
+// first byte, so a server can send a sized response with its checksum
+// up front and move every extent without passing it through user
+// space (sendfile from a spill file, or one write from a resident
+// slice). Adjacent whole blocks coalesce into one extent, so a mostly
+// admitted trace plans into a handful of large spans, and the whole
+// stored stream is a single extent.
+type RestreamPlan struct {
+	Segments []PlanSegment
+	Size     int64    // total output bytes
+	MD5      [16]byte // the output stream's rolling MD5
+}
+
+// RestreamPlanExact plans a filtered copy of rd under the canonical
 // service predicate — timestamps in [lo, hi) (0 = unbounded) and an
-// optional single core (-1 = all) — preserving the source's block
-// granularity and compression mode. It improves on Restream by
-// splicing: a block the index proves entirely inside the predicate is
-// copied in its stored form (compressed frames move without a
-// decompress/recompress or sample decode/re-encode round trip; raw
-// blocks without even a sample decode), while boundary blocks are
-// exact-filtered and re-encoded as usual. The output is a valid v2 or
-// v2.1 stream with its own index and rolling MD5 — identical bytes to
-// the re-encode path, just cheaper.
+// optional single core (-1 = all) — as a fresh v2/v2.1 stream with the
+// source's block size and compression mode, its own index and rolling
+// MD5. Blocks the index rules out are never read. A block the index
+// proves entirely inside the predicate closes the current output block
+// and becomes an extent of its stored bytes (compressed frames move
+// without a decompress/recompress round trip); every other admitted
+// block is decoded, exact-filtered, and its survivors are re-encoded
+// into the literal segments.
 //
-// Returns the number of samples written and how many blocks were
-// spliced verbatim.
-func RestreamExact(rd *ReaderV2, w io.Writer, lo, hi uint64, core int) (uint64, int, error) {
-	wr, err := newWriterV2(w, rd.Meta(), rd.blockSamples, rd.compressed)
+// The literal bytes live in memory: header, footer and straddler
+// blocks for a time window, but the whole filtered output (at most
+// the source's size) for a core filter — CoreMask aliases at 64
+// cores, so a core predicate never proves a block whole.
+func RestreamPlanExact(rd *ReaderV2, lo, hi uint64, core int) (*RestreamPlan, error) {
+	col := &segmentCollector{}
+	wr, err := newWriterV2(col, rd.Meta(), rd.blockSamples, rd.compressed)
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	return restreamInto(rd, wr, lo, hi, core)
+	wr.spliceOut = col.splice
+	if err := restreamInto(rd, wr, lo, hi, core); err != nil {
+		return nil, err
+	}
+	col.flushLiteral()
+	return &RestreamPlan{Segments: col.segs, Size: col.size, MD5: wr.Sum16()}, nil
 }
 
-// restreamInto is the shared walk behind RestreamExact and
-// RestreamPlanExact: wr is already configured (plan mode differs only
-// in the writer's spliceOut hook).
-func restreamInto(rd *ReaderV2, wr *WriterV2, lo, hi uint64, core int) (uint64, int, error) {
-	var err error
+// restreamInto walks rd's blocks under the predicate, splicing
+// provably whole blocks and re-encoding the survivors of the rest.
+func restreamInto(rd *ReaderV2, wr *WriterV2, lo, hi uint64, core int) error {
 	hints := ScanHints{TimeLo: lo, TimeHi: hi}
 	if core >= 0 {
 		hints.CoreMask = CoreBit(int16(core))
 	}
-	spliced := 0
 	var buf []Sample
+	var err error
 	for i := 0; i < rd.NumBlocks(); i++ {
 		b := rd.index[i]
 		if !hints.Admits(b) {
@@ -88,21 +77,20 @@ func restreamInto(rd *ReaderV2, wr *WriterV2, lo, hi uint64, core int) (uint64, 
 			(lo == 0 || b.TimeMin >= lo) &&
 			(hi == 0 || b.TimeMax < hi)
 		if whole {
-			if err := wr.flushBlock(); err != nil {
-				return wr.Total(), spliced, err
+			if err := wr.Flush(); err != nil {
+				return err
 			}
-			stored, payload, err := rd.readStoredBlock(i)
+			_, payload, err := rd.readStoredBlock(i)
 			if err != nil {
-				return wr.Total(), spliced, err
+				return err
 			}
-			if err := wr.spliceBlock(b, stored, payload); err != nil {
-				return wr.Total(), spliced, err
+			if err := wr.spliceBlock(b, payload); err != nil {
+				return err
 			}
-			spliced++
 			continue
 		}
 		if buf, err = rd.ReadBlock(i, buf); err != nil {
-			return wr.Total(), spliced, err
+			return err
 		}
 		for j := range buf {
 			s := &buf[j]
@@ -116,65 +104,11 @@ func restreamInto(rd *ReaderV2, wr *WriterV2, lo, hi uint64, core int) (uint64, 
 				continue
 			}
 			if err := wr.Emit(s); err != nil {
-				return wr.Total(), spliced, err
+				return err
 			}
 		}
 	}
-	return wr.Total(), spliced, wr.Close()
-}
-
-// PlanSegment is one piece of a span plan, in output order: either
-// literal bytes (Data non-nil — the header, re-encoded straddler
-// blocks, footer index, and tail) or an extent of Len stored bytes to
-// lift verbatim from the source stream at SrcOff.
-type PlanSegment struct {
-	Data   []byte
-	SrcOff int64
-	Len    int64
-}
-
-// RestreamPlan is a filtered restream described as segments instead of
-// a byte stream. Concatenating the segments (reading extents from the
-// source) yields exactly the bytes RestreamExact writes for the same
-// predicate — same index, same rolling MD5 — but the whole-block spans
-// never pass through user space, so a file-tier server can announce
-// Size and MD5 up front (a sized response) and sendfile every extent
-// straight from the spill file. Adjacent whole blocks coalesce into
-// one extent, so a mostly-admitted trace plans into a handful of
-// large sendfile spans.
-type RestreamPlan struct {
-	Segments []PlanSegment
-	Size     int64    // total output bytes
-	Samples  uint64   // samples in the output stream
-	Spliced  int      // whole blocks lifted verbatim
-	MD5      [16]byte // the output stream's rolling MD5
-}
-
-// RestreamPlanExact computes the span plan for the canonical service
-// predicate over rd (the RestreamExact semantics). The plan holds the
-// literal bytes in memory — bounded by the straddler blocks plus
-// header and footer, not the admitted payload — so it is only worth
-// building when whole blocks dominate; core filters (which can never
-// prove a block whole) should stream through RestreamExact instead.
-func RestreamPlanExact(rd *ReaderV2, lo, hi uint64, core int) (*RestreamPlan, error) {
-	col := &segmentCollector{}
-	wr, err := newWriterV2(col, rd.Meta(), rd.blockSamples, rd.compressed)
-	if err != nil {
-		return nil, err
-	}
-	wr.spliceOut = col.splice
-	total, spliced, err := restreamInto(rd, wr, lo, hi, core)
-	if err != nil {
-		return nil, err
-	}
-	col.flushLiteral()
-	return &RestreamPlan{
-		Segments: col.segs,
-		Size:     col.size,
-		Samples:  total,
-		Spliced:  spliced,
-		MD5:      wr.Sum16(),
-	}, nil
+	return wr.Close()
 }
 
 // segmentCollector is the plan-mode sink: writer output accumulates

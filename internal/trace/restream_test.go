@@ -1,23 +1,31 @@
-package trace
+package trace_test
 
 import (
 	"bytes"
 	"testing"
+
+	"nmo/internal/trace"
 )
 
-// restreamFixture writes a deterministic 3-block v2 trace: 100 samples,
-// block size 40, timestamps 1000·i, cores i%4.
-func restreamFixture(t *testing.T) (*ReaderV2, []Sample) {
+// restreamFixture writes a deterministic 3-block v2 (or v2.1) trace:
+// 100 samples, block size 40 (the last block holds 20), timestamps
+// 1000·(i+1), cores i%4. It returns the raw stream — the plan's extent
+// offsets index into it — and the samples in stream order.
+func restreamFixture(t testing.TB, compress bool) ([]byte, []trace.Sample) {
 	t.Helper()
-	meta := Meta{Workload: "wl", Regions: []string{"a", "b"}, Kernels: []string{"k"}}
+	meta := trace.Meta{Workload: "wl", Regions: []string{"a", "b"}, Kernels: []string{"k"}}
+	newW := trace.NewWriterV2
+	if compress {
+		newW = trace.NewWriterV21
+	}
 	var buf bytes.Buffer
-	w, err := NewWriterV2(&buf, meta, 40)
+	w, err := newW(&buf, meta, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var samples []Sample
+	var samples []trace.Sample
 	for i := 0; i < 100; i++ {
-		s := Sample{
+		s := trace.Sample{
 			TimeNs: uint64(1000 * (i + 1)),
 			Core:   int16(i % 4),
 			VA:     uint64(0x1000 + i),
@@ -32,69 +40,92 @@ func restreamFixture(t *testing.T) (*ReaderV2, []Sample) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := OpenV2(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rd, samples
+	return buf.Bytes(), samples
 }
 
-func TestRestreamUnfiltered(t *testing.T) {
-	rd, samples := restreamFixture(t)
+// planOver plans the predicate over src and returns the plan with its
+// assembled bytes.
+func planOver(t testing.TB, src []byte, lo, hi uint64, core int) (*trace.RestreamPlan, []byte) {
+	t.Helper()
+	rd, err := trace.OpenV2(bytes.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := trace.RestreamPlanExact(rd, lo, hi, core)
+	if err != nil {
+		t.Fatalf("plan [%d,%d) core %d: %v", lo, hi, core, err)
+	}
+	return plan, assemble(t, plan, src)
+}
+
+// assemble materializes a plan against the source bytes.
+func assemble(t testing.TB, plan *trace.RestreamPlan, src []byte) []byte {
+	t.Helper()
 	var out bytes.Buffer
-	n, err := Restream(rd, &out, ScanHints{}, nil, 0)
+	for _, seg := range plan.Segments {
+		if seg.Data != nil {
+			out.Write(seg.Data)
+			continue
+		}
+		if seg.SrcOff < 0 || seg.SrcOff+seg.Len > int64(len(src)) {
+			t.Fatalf("extent [%d,+%d) outside source of %d bytes", seg.SrcOff, seg.Len, len(src))
+		}
+		out.Write(src[seg.SrcOff : seg.SrcOff+seg.Len])
+	}
+	if int64(out.Len()) != plan.Size {
+		t.Fatalf("assembled %d bytes, plan.Size %d", out.Len(), plan.Size)
+	}
+	return out.Bytes()
+}
+
+func readAll(t testing.TB, stream []byte) []trace.Sample {
+	t.Helper()
+	rd, err := trace.OpenV2(bytes.NewReader(stream))
 	if err != nil {
+		t.Fatalf("restreamed output is not a valid v2 file: %v", err)
+	}
+	var got []trace.Sample
+	if err := rd.Scan(trace.ScanHints{}, func(s *trace.Sample) { got = append(got, *s) }); err != nil {
 		t.Fatal(err)
 	}
-	if n != uint64(len(samples)) {
-		t.Fatalf("restreamed %d samples, want %d", n, len(samples))
-	}
-	rd2, err := OpenV2(bytes.NewReader(out.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same payload in the same order => same rolling MD5 and a valid,
-	// self-describing file.
-	if rd2.MD5() != rd.MD5() {
-		t.Errorf("restreamed MD5 differs from source")
-	}
-	if rd2.Meta().Workload != "wl" || len(rd2.Meta().Regions) != 2 {
-		t.Errorf("meta not preserved: %+v", rd2.Meta())
+	return got
+}
+
+// TestRestreamUnfiltered: with no predicate every block is provably
+// whole, so the plan reproduces the source byte for byte — same index,
+// same rolling MD5, same metadata.
+func TestRestreamUnfiltered(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		src, samples := restreamFixture(t, compress)
+		plan, got := planOver(t, src, 0, 0, -1)
+		if !bytes.Equal(got, src) {
+			t.Fatalf("compress=%t: unfiltered plan differs from the source", compress)
+		}
+		rd, err := trace.OpenV2(bytes.NewReader(got))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rd.MD5() != plan.MD5 || rd.TotalSamples() != uint64(len(samples)) {
+			t.Errorf("compress=%t: md5/total mismatch", compress)
+		}
+		if rd.Meta().Workload != "wl" || len(rd.Meta().Regions) != 2 {
+			t.Errorf("meta not preserved: %+v", rd.Meta())
+		}
 	}
 }
 
 func TestRestreamFiltered(t *testing.T) {
-	rd, samples := restreamFixture(t)
-	// Time window [30_000, 60_000) on core 1 — hints skip blocks, keep
-	// trims exactly.
-	hints := ScanHints{TimeLo: 30_000, TimeHi: 60_000, CoreMask: CoreBit(1)}
-	keep := func(s *Sample) bool {
-		return s.TimeNs >= 30_000 && s.TimeNs < 60_000 && s.Core == 1
-	}
-	var want []Sample
+	src, samples := restreamFixture(t, false)
+	// Time window [30_000, 60_000) on core 1: the index skips block 2,
+	// the exact filter trims blocks 0 and 1.
+	var want []trace.Sample
 	for _, s := range samples {
-		s := s
-		if keep(&s) {
+		if s.TimeNs >= 30_000 && s.TimeNs < 60_000 && s.Core == 1 {
 			want = append(want, s)
 		}
 	}
-
-	var out bytes.Buffer
-	n, err := Restream(rd, &out, hints, keep, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != uint64(len(want)) {
-		t.Fatalf("restreamed %d samples, want %d", n, len(want))
-	}
-	rd2, err := OpenV2(bytes.NewReader(out.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []Sample
-	if err := rd2.Scan(ScanHints{}, func(s *Sample) { got = append(got, *s) }); err != nil {
-		t.Fatal(err)
-	}
+	_, out := planOver(t, src, 30_000, 60_000, 1)
+	got := readAll(t, out)
 	if len(got) != len(want) {
 		t.Fatalf("read back %d samples, want %d", len(got), len(want))
 	}
@@ -106,20 +137,14 @@ func TestRestreamFiltered(t *testing.T) {
 }
 
 func TestRestreamEmptyResult(t *testing.T) {
-	rd, _ := restreamFixture(t)
-	var out bytes.Buffer
-	n, err := Restream(rd, &out, ScanHints{TimeLo: 1 << 40}, func(*Sample) bool { return false }, 0)
-	if err != nil {
-		t.Fatal(err)
+	src, _ := restreamFixture(t, false)
+	plan, out := planOver(t, src, 1<<40, 0, -1)
+	if got := readAll(t, out); len(got) != 0 {
+		t.Fatalf("restreamed %d samples, want 0", len(got))
 	}
-	if n != 0 {
-		t.Fatalf("restreamed %d samples, want 0", n)
-	}
-	rd2, err := OpenV2(bytes.NewReader(out.Bytes()))
-	if err != nil {
-		t.Fatalf("empty restream is not a valid v2 file: %v", err)
-	}
-	if rd2.TotalSamples() != 0 {
-		t.Errorf("empty restream reports %d samples", rd2.TotalSamples())
+	for _, seg := range plan.Segments {
+		if seg.Data == nil {
+			t.Error("empty result lifted an extent")
+		}
 	}
 }

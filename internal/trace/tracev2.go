@@ -112,17 +112,17 @@ type WriterV2 struct {
 	h            hash.Hash
 	total        uint64
 	closed       bool
-	// compress selects the v2.1 format: flushBlock stores each block
+	// compress selects the v2.1 format: Flush stores each block
 	// as a compressed frame when that is strictly smaller. The rolling
 	// hash is fed the raw records either way.
 	compress bool
 	cbuf     []byte // reusable compression scratch
-	// spliceOut, when set, diverts spliceBlock's stored bytes: instead
-	// of writing them, the writer reports the (source offset, length)
-	// extent and advances as if it had. The span-plan restream uses
-	// this to describe whole-block runs as file extents a server can
-	// sendfile verbatim. Offsets, index entries, and the rolling MD5
-	// come out identical to the written stream.
+	// spliceOut receives spliceBlock's extents: instead of writing a
+	// whole block's stored bytes, the writer reports their (source
+	// offset, length) and advances as if it had written them. The span
+	// plan uses this to describe whole-block runs as extents a server
+	// can send verbatim. Offsets, index entries, and the rolling MD5
+	// come out identical to a written stream.
 	spliceOut func(srcOff int64, n int) error
 }
 
@@ -224,7 +224,7 @@ func (wr *WriterV2) Emit(s *Sample) error {
 	wr.n++
 	wr.total++
 	if wr.n == wr.blockSamples {
-		return wr.flushBlock()
+		return wr.Flush()
 	}
 	return nil
 }
@@ -265,7 +265,7 @@ func (wr *WriterV2) EmitBatch(batch []Sample) error {
 		wr.total += uint64(take)
 		batch = batch[take:]
 		if wr.n == wr.blockSamples {
-			if err := wr.flushBlock(); err != nil {
+			if err := wr.Flush(); err != nil {
 				return err
 			}
 		}
@@ -273,7 +273,10 @@ func (wr *WriterV2) EmitBatch(batch []Sample) error {
 	return nil
 }
 
-func (wr *WriterV2) flushBlock() error {
+// Flush ends the current block early: its samples are written as one
+// (possibly short) block with its own index entry. Emit flushes full
+// blocks by itself; an empty current block makes Flush a no-op.
+func (wr *WriterV2) Flush() error {
 	if wr.n == 0 {
 		return nil
 	}
@@ -296,12 +299,11 @@ func (wr *WriterV2) flushBlock() error {
 	return nil
 }
 
-// spliceBlock appends one stored block verbatim: stored is the block's
-// on-disk bytes (compressed frame or raw records, matching the
-// writer's mode), payload the uncompressed records the rolling hash is
-// defined over. The caller must flush any partial block first; the
-// restream splice path is the only user.
-func (wr *WriterV2) spliceBlock(info BlockInfo, stored, payload []byte) error {
+// spliceBlock appends one stored block as an extent of the source:
+// info is the block's source index entry, payload the uncompressed
+// records the rolling hash is defined over. The caller must Flush any
+// partial block first; the span plan is the only user.
+func (wr *WriterV2) spliceBlock(info BlockInfo, payload []byte) error {
 	switch {
 	case wr.closed:
 		return fmt.Errorf("trace: emit after Close")
@@ -315,17 +317,13 @@ func (wr *WriterV2) spliceBlock(info BlockInfo, stored, payload []byte) error {
 	}
 	b := info
 	b.Offset = wr.off
-	if wr.spliceOut != nil {
-		// info.Offset is still the block's offset in the source stream
-		// (the line above rewrote only the copy destined for the new
-		// index) — exactly the extent the plan needs.
-		if err := wr.spliceOut(int64(info.Offset), len(stored)); err != nil {
-			return err
-		}
-		wr.off += uint64(len(stored))
-	} else if err := wr.write(stored); err != nil {
+	// info.Offset is still the block's offset in the source stream —
+	// exactly the extent the plan needs.
+	n := info.storedSize()
+	if err := wr.spliceOut(int64(info.Offset), int(n)); err != nil {
 		return err
 	}
+	wr.off += n
 	wr.h.Write(payload)
 	wr.index = append(wr.index, b)
 	wr.total += uint64(info.Count)
@@ -338,7 +336,7 @@ func (wr *WriterV2) Close() error {
 	if wr.closed {
 		return nil
 	}
-	if err := wr.flushBlock(); err != nil {
+	if err := wr.Flush(); err != nil {
 		return err
 	}
 	wr.closed = true
@@ -535,6 +533,9 @@ func (rd *ReaderV2) TotalSamples() uint64 { return rd.total }
 
 // MD5 returns the payload checksum recorded in the tail.
 func (rd *ReaderV2) MD5() [16]byte { return rd.sum }
+
+// BlockSamples returns the stream's block granularity from the tail.
+func (rd *ReaderV2) BlockSamples() int { return rd.blockSamples }
 
 // NumBlocks returns the number of sample blocks.
 func (rd *ReaderV2) NumBlocks() int { return len(rd.index) }

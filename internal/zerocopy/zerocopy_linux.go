@@ -11,10 +11,8 @@ import (
 	"syscall"
 )
 
-const supported = true
-
-// Splice flags and the pipe-resize fcntl, absent from the stdlib
-// syscall package.
+// Splice flags and the pipe-resize fcntl (the Drainer's), absent from
+// the stdlib syscall package.
 const (
 	spliceFMove     = 0x1  // SPLICE_F_MOVE
 	spliceFNonblock = 0x2  // SPLICE_F_NONBLOCK
@@ -25,8 +23,8 @@ const (
 // pin the poller loop; 4 MiB amortizes the syscall without hogging.
 const maxSendfileChunk = 4 << 20
 
-// pipeSize is the capacity we ask of splice pipes (best effort; the
-// kernel default is 64 KiB).
+// pipeSize is the capacity we ask of the Drainer's pipes (best
+// effort; the kernel default is 64 KiB).
 const pipeSize = 1 << 20
 
 // sendfile drives the kernel copy file→socket on the cached raw fd.
@@ -39,7 +37,7 @@ func (c *Conn) sendfile(fs *FileSection) (int64, error, bool) {
 		return 0, nil, false
 	}
 	if c.step == nil {
-		c.step = c.transferStep
+		c.step = c.sendfileStep
 	}
 	c.file, c.moved, c.terr, c.refuse = fs, 0, nil, false
 	werr := rc.Write(c.step)
@@ -55,116 +53,9 @@ func (c *Conn) sendfile(fs *FileSection) (int64, error, bool) {
 	return n, werr, true
 }
 
-// splice drives the kernel copy socket→pipe→socket. Same contract as
-// sendfile. On a mid-stream error after bytes entered the pipe the
-// transfer is unrecoverable (those bytes left the upstream stream), so
-// the error is terminal — the caller must drop both connections.
-func (c *Conn) splice(ss *SocketSection) (int64, error, bool) {
-	rc, err := c.rawConn()
-	if err != nil {
-		return 0, nil, false
-	}
-	p, err := getPipe()
-	if err != nil {
-		return 0, nil, false
-	}
-	defer func() {
-		if c.inPipe != 0 {
-			// A terminal mid-body error stranded response bytes in the
-			// pipe. Pooling the pair would splice those stale bytes into
-			// whatever transfer draws it next — cross-request body
-			// corruption — so the pair is retired instead.
-			c.inPipe = 0
-			p.discard()
-			return
-		}
-		putPipe(p)
-	}()
-	if c.step == nil {
-		c.step = c.transferStep
-	}
-	if c.fill == nil {
-		c.fill = c.spliceFill
-	}
-	c.sock, c.pipe, c.inPipe = ss, p, 0
-	c.moved, c.terr, c.refuse = 0, nil, false
-
-	for (ss.remain > 0 || c.inPipe > 0) && c.terr == nil && !c.refuse {
-		if c.inPipe == 0 {
-			// Fill: splice from the upstream socket into the pipe,
-			// waiting on upstream readability.
-			if err := ss.rc.Read(c.fill); err != nil {
-				c.terr = err
-				break
-			}
-			continue
-		}
-		// Drain: splice from the pipe into the downstream socket,
-		// waiting on downstream writability.
-		if err := rc.Write(c.step); err != nil {
-			c.terr = err
-			break
-		}
-	}
-	n, refuse, terr := c.moved, c.refuse, c.terr
-	c.sock, c.pipe = nil, nil
-	if refuse && n == 0 && c.inPipe == 0 {
-		return 0, nil, false
-	}
-	if terr == nil && c.inPipe != 0 {
-		terr = io.ErrShortWrite
-	}
-	return n, terr, true
-}
-
-// spliceFill is the upstream-readability step: move the next chunk
-// into the pipe. Returning false parks the goroutine in the poller
-// until the upstream socket is readable again.
-func (c *Conn) spliceFill(fd uintptr) bool {
-	for {
-		want := c.sock.remain
-		if want > pipeSize {
-			want = pipeSize
-		}
-		n, err := syscall.Splice(int(fd), nil, c.pipe.w, nil, int(want), spliceFMove|spliceFNonblock)
-		if n > 0 {
-			c.inPipe += n
-			c.sock.remain -= n
-			return true
-		}
-		switch err {
-		case nil:
-			c.terr = io.ErrUnexpectedEOF // upstream closed mid-body
-			return true
-		case syscall.EINTR:
-			continue
-		case syscall.EAGAIN:
-			return false
-		case syscall.EINVAL, syscall.ENOSYS, syscall.EOPNOTSUPP:
-			if c.moved == 0 && c.inPipe == 0 {
-				c.refuse = true
-			} else {
-				c.terr = err
-			}
-			return true
-		default:
-			c.terr = err
-			return true
-		}
-	}
-}
-
-// transferStep is the downstream-writability step, bound once per
-// conn: sendfile chunks when a FileSection is active, pipe drain when
-// a splice is. Returning false parks in the poller until the socket
-// accepts more.
-func (c *Conn) transferStep(fd uintptr) bool {
-	if c.file != nil {
-		return c.sendfileStep(fd)
-	}
-	return c.drainStep(fd)
-}
-
+// sendfileStep is the downstream-writability step, bound once per
+// conn: sendfile chunks until the section is done. Returning false
+// parks in the poller until the socket accepts more.
 func (c *Conn) sendfileStep(fd uintptr) bool {
 	fs := c.file
 	for fs.remain > 0 {
@@ -194,26 +85,6 @@ func (c *Conn) sendfileStep(fd uintptr) bool {
 				c.terr = err
 			}
 			return true
-		default:
-			c.terr = err
-			return true
-		}
-	}
-	return true
-}
-
-func (c *Conn) drainStep(fd uintptr) bool {
-	for c.inPipe > 0 {
-		n, err := syscall.Splice(c.pipe.r, nil, int(fd), nil, int(c.inPipe), spliceFMove|spliceFNonblock)
-		if n > 0 {
-			c.inPipe -= n
-			c.moved += n
-		}
-		switch err {
-		case nil:
-		case syscall.EINTR:
-		case syscall.EAGAIN:
-			return false
 		default:
 			c.terr = err
 			return true

@@ -7,11 +7,6 @@ import (
 	"os"
 )
 
-const supported = false
-
-// pipePair is unused off Linux; the field in Conn stays nil.
-type pipePair struct{}
-
 // Drainer off Linux is a bounded discard through a pooled copy buffer
 // — same contract, no kernel offload.
 type Drainer struct {
@@ -30,9 +25,6 @@ func (d *Drainer) Close() error { return nil }
 // sendfile is the portable no-offload answer: not handled, so ReadFrom
 // serves the section through the pooled fallback copy.
 func (c *Conn) sendfile(fs *FileSection) (int64, error, bool) { return 0, nil, false }
-
-// splice likewise.
-func (c *Conn) splice(ss *SocketSection) (int64, error, bool) { return 0, nil, false }
 
 // FadviseWillNeed is a no-op off Linux.
 func FadviseWillNeed(f *os.File) {}
