@@ -46,7 +46,6 @@ import (
 	"nmo/internal/obs"
 	"nmo/internal/sampler"
 	"nmo/internal/service"
-	"nmo/internal/zerocopy"
 )
 
 func main() {
@@ -123,18 +122,16 @@ func run(addr string, workers, queueCap, engineJobs, backendSlots int, ccfg serv
 	sched := service.NewScheduler(cfg, cache)
 	defer sched.Close()
 
-	// The listener is wrapped for the zero-copy data plane: accepted
-	// conns cache a raw fd so the extents of file-tier trace plans run
-	// sendfile(2) instead of a user-space copy, and ConnContext tells
-	// the trace handler the offload is live. Counters are shared with
-	// the handler so /v1/stats sees both sides.
 	mw, err := auth.NewMiddleware(acfg)
 	if err != nil {
 		return err
 	}
 	h := service.NewServer(sched, service.WithAuth(mw))
-	srv := &http.Server{Addr: addr, Handler: h, ConnContext: zerocopy.ConnContext}
+	srv := &http.Server{Addr: addr, Handler: h}
 
+	// A plain TCP listener: net/http hands the trace handler's spill-file
+	// extents to the accepted *net.TCPConn, which sends them with
+	// sendfile(2) (see service.Server.servePlan).
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -145,7 +142,7 @@ func run(addr string, workers, queueCap, engineJobs, backendSlots int, ccfg serv
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(zerocopy.WrapListener(ln, h.ZeroCopy())) }()
+	go func() { errc <- srv.Serve(ln) }()
 	tier := "memory-only"
 	if ccfg.Dir != "" {
 		tier = "spill dir " + ccfg.Dir

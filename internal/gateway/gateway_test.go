@@ -6,10 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,7 +17,6 @@ import (
 	"nmo/internal/obs"
 	"nmo/internal/service"
 	"nmo/internal/trace"
-	"nmo/internal/zerocopy"
 )
 
 // fleet is a test fixture: n in-process shards behind one gateway.
@@ -405,21 +402,6 @@ func mustShard(t *testing.T, f *fleet, id string) int {
 	return shard
 }
 
-// serveZC starts handler on a real TCP listener wired like nmod:
-// wrapped listener + ConnContext, so accepted conns carry the
-// zero-copy state the shard's sendfile path needs.
-func serveZC(t *testing.T, handler http.Handler, ctr *zerocopy.Counters) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &http.Server{Handler: handler, ConnContext: zerocopy.ConnContext}
-	go srv.Serve(zerocopy.WrapListener(ln, ctr))
-	t.Cleanup(func() { srv.Close() })
-	return "http://" + ln.Addr().String()
-}
-
 // getTrace fetches a trace over plain HTTP so the test sees the
 // response framing.
 func getTrace(t *testing.T, base, id, query string) (*http.Response, []byte) {
@@ -439,22 +421,14 @@ func getTrace(t *testing.T, base, id, query string) (*http.Response, []byte) {
 // TestGatewayTracePassThrough: every trace response relayed through
 // the gateway keeps its sized shape — Content-Length and
 // X-Nmo-Trace-Md5 from the shard, no chunking — and its bytes match
-// the direct shard fetch exactly, for shards on a plain and on a
-// zero-copy listener, memory and disk tiers, unfiltered and filtered
-// requests. The fleet stats view must surface the gateway's own relay
-// bytes on top of the member sums.
+// the direct shard fetch exactly, for memory and disk tiers,
+// unfiltered and filtered requests. The fleet stats view must surface
+// the gateway's own relay bytes on top of the member sums.
 func TestGatewayTracePassThrough(t *testing.T) {
-	for _, row := range []struct {
-		plane, tier string
-	}{
-		{"httptest", "memory"},
-		{"httptest", "file"},
-		{"zerocopy", "memory"},
-		{"zerocopy", "file"},
-	} {
-		t.Run(row.plane+"/"+row.tier, func(t *testing.T) {
+	for _, tier := range []string{"memory", "file"} {
+		t.Run(tier, func(t *testing.T) {
 			var cache *service.Cache
-			if row.tier == "file" {
+			if tier == "file" {
 				// A one-byte memory budget demotes the blob to its
 				// spill file the moment it is filled.
 				var err error
@@ -466,14 +440,9 @@ func TestGatewayTracePassThrough(t *testing.T) {
 			sched := service.NewScheduler(service.SchedConfig{Workers: 1}, cache)
 			t.Cleanup(sched.Close)
 			shardH := service.NewServer(sched)
-			var shardURL string
-			if row.plane == "zerocopy" {
-				shardURL = serveZC(t, shardH, shardH.ZeroCopy())
-			} else {
-				shard := httptest.NewServer(shardH)
-				t.Cleanup(shard.Close)
-				shardURL = shard.URL
-			}
+			shard := httptest.NewServer(shardH)
+			t.Cleanup(shard.Close)
+			shardURL := shard.URL
 			gw, err := New(Config{Members: []string{shardURL}, ProbeEvery: 100 * time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
@@ -497,8 +466,8 @@ func TestGatewayTracePassThrough(t *testing.T) {
 				t.Fatal("job vanished from the shard")
 			}
 			blob := job.Artifacts().Traces[0]
-			if blob.FileBacked() != (row.tier == "file") {
-				t.Fatalf("blob file-backed = %v in the %s tier", blob.FileBacked(), row.tier)
+			if blob.FileBacked() != (tier == "file") {
+				t.Fatalf("blob file-backed = %v in the %s tier", blob.FileBacked(), tier)
 			}
 			stored, err := blob.Bytes()
 			if err != nil {
@@ -536,10 +505,8 @@ func TestGatewayTracePassThrough(t *testing.T) {
 				}
 			}
 
-			if runtime.GOOS == "linux" && row.plane == "zerocopy" && row.tier == "file" {
-				if n := shardH.ZeroCopy().SendfileBytes(); n == 0 {
-					t.Error("shard served its spill file with zero sendfile bytes")
-				}
+			if n := shardH.ZeroCopy().SendfileBytes(); (n > 0) != (tier == "file") {
+				t.Errorf("shard counted %d sendfile bytes serving from the %s tier", n, tier)
 			}
 			if gw.ZeroCopy().FallbackBytes() == 0 {
 				t.Error("gateway relay counted no trace bytes")
@@ -564,8 +531,8 @@ func TestGatewayTracePassThrough(t *testing.T) {
 
 // TestGatewaySpliceRelay keeps the scenario the gateway's old splice
 // relay was built for, now served by the net/http relay: a large blob
-// (far past one relay buffer) demoted to its spill file on a
-// zero-copy shard, fetched through the gateway several times in a row
+// (far past one relay buffer) demoted to its spill file on a shard
+// that sends it with sendfile, fetched through the gateway several times in a row
 // over reused upstream conns, then core-filtered. Every body and MD5
 // header must equal the direct shard fetch, the shard must still
 // sendfile, and nothing may count splice bytes.
@@ -577,7 +544,9 @@ func TestGatewaySpliceRelay(t *testing.T) {
 	sched := service.NewScheduler(service.SchedConfig{Workers: 1}, cache)
 	t.Cleanup(sched.Close)
 	shardH := service.NewServer(sched)
-	shardURL := serveZC(t, shardH, shardH.ZeroCopy())
+	shard := httptest.NewServer(shardH)
+	t.Cleanup(shard.Close)
+	shardURL := shard.URL
 
 	gw, err := New(Config{Members: []string{shardURL}, ProbeEvery: 100 * time.Millisecond})
 	if err != nil {
@@ -629,10 +598,8 @@ func TestGatewaySpliceRelay(t *testing.T) {
 			len(viaGW), len(directF), md5GW, md5F)
 	}
 
-	if runtime.GOOS == "linux" {
-		if n := shardH.ZeroCopy().SendfileBytes(); n == 0 {
-			t.Error("shard served its spill file with zero sendfile bytes")
-		}
+	if n := shardH.ZeroCopy().SendfileBytes(); n == 0 {
+		t.Error("shard served its spill file with zero sendfile bytes")
 	}
 	if n := gw.ZeroCopy().FallbackBytes(); n < int64(3*len(direct)) {
 		t.Errorf("gateway relay counted %d bytes, relayed at least %d", n, 3*len(direct))

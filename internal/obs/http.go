@@ -144,10 +144,10 @@ func (m *HTTPMetrics) Wrap(route string, next http.Handler) http.Handler {
 }
 
 // responseRecorder captures status and body bytes while staying
-// transparent to the data plane: it forwards Flush (the sendfile
-// header flush) and ReadFrom (the seam net/http's sendfile offload
-// hangs off — wrapping it away would silently degrade every
-// zero-copy serve to the buffered fallback).
+// transparent to the data plane: it forwards Flush (the trace
+// handler's header flush) and ReadFrom (the seam net/http's sendfile
+// hangs off — wrapping it away would silently turn every spill-file
+// extent into a buffered copy).
 type responseRecorder struct {
 	w      http.ResponseWriter
 	status int
@@ -179,10 +179,10 @@ func (r *responseRecorder) Flush() {
 }
 
 // ReadFrom keeps io.Copy offload-eligible: the source reaches the
-// underlying ResponseWriter's ReaderFrom intact (net/http hands it to
-// the connection, where zerocopy.Conn recognizes a FileSection and
-// drives sendfile). Without a ReaderFrom seam here, the
-// instrumented handler would copy through a buffer instead.
+// underlying ResponseWriter's ReaderFrom intact, and net/http hands an
+// *io.LimitedReader over an *os.File to the TCP conn, which sends it
+// with sendfile(2). Without a ReaderFrom seam here, the instrumented
+// handler would copy through a buffer instead.
 func (r *responseRecorder) ReadFrom(src io.Reader) (int64, error) {
 	r.wrote = true
 	if rf, ok := r.w.(io.ReaderFrom); ok {

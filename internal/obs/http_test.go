@@ -164,7 +164,7 @@ func TestRecorderPassthrough(t *testing.T) {
 
 	// The bare Reader hides strings.Reader's WriteTo so io.Copy takes
 	// the dst.ReadFrom branch — the same shape as the trace handler's
-	// io.Copy(w, &h.fs) sendfile path.
+	// io.Copy(w, &io.LimitedReader{R: f, N: n}) sendfile path.
 	n, err := io.Copy(&rec, struct{ io.Reader }{strings.NewReader("0123456789")})
 	if err != nil || n != 10 {
 		t.Fatalf("copy: %d, %v", n, err)

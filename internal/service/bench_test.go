@@ -194,20 +194,16 @@ func BenchmarkTraceServeFile(b *testing.B) {
 	})
 }
 
-// BenchmarkTraceServeSendfile contrasts the two data planes on the
-// same demoted blob over real TCP: "sendfile" serves through a
-// wrapped listener (the production wiring — the body leaves via
-// sendfile(2) and never crosses user space), "fallback" through a
-// plain listener (pread through net/http's copy). Both legs are driven by
-// the same raw keep-alive client that discards bodies through
-// zerocopy.Drainer (splice → /dev/null), so the receive side costs
-// page accounting on either leg — like a remote peer's NIC — instead
-// of performing in user space the very copies the serve path
-// eliminated and charging them back to the host under test (see
-// DESIGN.md §14). Each leg also reports user-copy-B/op: the payload
-// bytes the server staged through user space, the quantity the
-// offload removes. CI's benchstat gate watches this pair for
-// regressions of either path.
+// BenchmarkTraceServeSendfile serves a demoted blob over real TCP
+// through the production wiring: a plain listener, where the body
+// leaves via net/http's sendfile(2) and never crosses user space. The
+// raw keep-alive client discards bodies through zerocopy.Drainer
+// (splice → /dev/null), so the receive side costs page accounting —
+// like a remote peer's NIC — instead of performing in user space the
+// very copies the serve path eliminated and charging them back to the
+// host under test (see DESIGN.md §14). It also reports user-copy-B/op:
+// the payload bytes the server wrote from user space, which must stay
+// 0. CI's benchstat gate watches it for regressions.
 func BenchmarkTraceServeSendfile(b *testing.B) {
 	cache, err := NewCache(CacheConfig{Dir: b.TempDir(), MemBudget: 1})
 	if err != nil {
@@ -225,24 +221,19 @@ func BenchmarkTraceServeSendfile(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	<-job.Done()
+	waitDone(b, job)
 	blob := job.Artifacts().Traces[0]
 	if !blob.FileBacked() {
 		b.Fatal("blob not demoted to the spill file")
 	}
 
-	run := func(b *testing.B, wrapped bool) {
+	b.Run("sendfile", func(b *testing.B) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)
 		}
 		srv := &http.Server{Handler: h}
-		if wrapped {
-			srv.ConnContext = zerocopy.ConnContext
-			go srv.Serve(zerocopy.WrapListener(ln, h.ZeroCopy()))
-		} else {
-			go srv.Serve(ln)
-		}
+		go srv.Serve(ln)
 		defer srv.Close()
 
 		// The drain client: one persistent conn, a precomputed request,
@@ -305,9 +296,7 @@ func BenchmarkTraceServeSendfile(b *testing.B) {
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(h.ZeroCopy().FallbackBytes()-fb0)/float64(b.N), "user-copy-B/op")
-	}
-	b.Run("sendfile", func(b *testing.B) { run(b, true) })
-	b.Run("fallback", func(b *testing.B) { run(b, false) })
+	})
 }
 
 // BenchmarkCacheWarmBoot measures the restart path: scanning a spill
@@ -325,7 +314,7 @@ func BenchmarkCacheWarmBoot(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	<-job.Done()
+	waitDone(b, job)
 	art := job.Artifacts()
 	data := blobBytesB(b, art.Traces[0])
 	sum := art.Traces[0].MD5

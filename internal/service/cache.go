@@ -21,24 +21,14 @@ type blobBacking struct {
 	files sync.Pool
 }
 
-// fileHandle is one pooled serve handle: an open descriptor on the
-// spill file plus the zerocopy.FileSection the plan's extents move
-// through. On a zero-copy connection an extent moves by sendfile(2)
-// on the conn's cached raw fd; elsewhere it is pread through
-// net/http's copy. Either way the payload is never staged on the heap
-// in full, and a steady-state serve allocates no handle.
-type fileHandle struct {
-	f  *os.File
-	fs zerocopy.FileSection
-}
-
-// acquireFile returns a serve handle, reusing a pooled one when
-// available. Serves read by offset (pread), so a handle's file offset
-// never matters. Handles that fall out of the pool are closed by the
-// runtime's os.File cleanup, so an evicted backing leaks nothing.
-func (bk *blobBacking) acquireFile() (*fileHandle, error) {
-	if h, _ := bk.files.Get().(*fileHandle); h != nil {
-		return h, nil
+// acquireFile returns an open descriptor on the spill file, reusing a
+// pooled one when available. A serve has the descriptor to itself and
+// seeks before every extent, so the offset a previous serve left
+// never matters. Descriptors that fall out of the pool are closed by
+// the runtime's os.File cleanup, so an evicted backing leaks nothing.
+func (bk *blobBacking) acquireFile() (*os.File, error) {
+	if f, _ := bk.files.Get().(*os.File); f != nil {
+		return f, nil
 	}
 	f, err := os.Open(bk.path)
 	if err != nil {
@@ -47,11 +37,11 @@ func (bk *blobBacking) acquireFile() (*fileHandle, error) {
 	// A fresh descriptor means this blob wasn't recently served: hint
 	// the whole file ahead so the disk read overlaps the response.
 	zerocopy.FadviseWillNeed(f)
-	return &fileHandle{f: f}, nil
+	return f, nil
 }
 
-// releaseFile returns a handle from acquireFile to the pool.
-func (bk *blobBacking) releaseFile(h *fileHandle) { bk.files.Put(h) }
+// releaseFile returns a descriptor from acquireFile to the pool.
+func (bk *blobBacking) releaseFile(f *os.File) { bk.files.Put(f) }
 
 // TraceBlob is one scenario's stored v2 (or v2.1) trace: the exact
 // bytes the run's writer sink produced, plus the stream's rolling MD5.
@@ -60,8 +50,7 @@ func (bk *blobBacking) releaseFile(h *fileHandle) { bk.files.Put(h) }
 // copy. A blob may be memory-resident, file-backed (spilled to the
 // cache directory and demoted), or both; the accessor methods hide
 // which, except that file-backed serves hand the handler a pooled
-// handle on the real *os.File so the payload is never read back onto
-// the heap.
+// *os.File so the payload is never read back onto the heap.
 type TraceBlob struct {
 	Name string
 	MD5  [16]byte
@@ -111,11 +100,11 @@ func (b *TraceBlob) Bytes() ([]byte, error) {
 }
 
 // open pins the blob's current backing for one request: either the
-// resident bytes or a serve handle drawn from the backing's descriptor
-// pool (the caller must return it with bk.releaseFile). An
-// evicted-but-open file keeps serving to its in-flight readers under
-// POSIX unlink semantics.
-func (b *TraceBlob) open() (data []byte, h *fileHandle, bk *blobBacking, err error) {
+// resident bytes or a descriptor drawn from the backing's pool (the
+// caller must return it with bk.releaseFile). An evicted-but-open
+// file keeps serving to its in-flight readers under POSIX unlink
+// semantics.
+func (b *TraceBlob) open() (data []byte, f *os.File, bk *blobBacking, err error) {
 	bk = b.backing.Load()
 	if bk == nil {
 		return nil, nil, nil, nil
@@ -123,11 +112,11 @@ func (b *TraceBlob) open() (data []byte, h *fileHandle, bk *blobBacking, err err
 	if bk.data != nil || bk.path == "" {
 		return bk.data, nil, bk, nil
 	}
-	h, err = bk.acquireFile()
+	f, err = bk.acquireFile()
 	if err != nil {
 		return nil, nil, bk, err
 	}
-	return nil, h, bk, nil
+	return nil, f, bk, nil
 }
 
 // JobArtifacts is everything a finished job can serve: the result

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"nmo/internal/obs"
 )
@@ -57,7 +58,8 @@ func scrapeMetrics(t *testing.T, base string) map[string]float64 {
 func TestMetricsStatsAgree(t *testing.T) {
 	sched := NewScheduler(SchedConfig{Workers: 2}, nil)
 	defer sched.Close()
-	srv := httptest.NewServer(NewServer(sched))
+	h := NewServer(sched)
+	srv := httptest.NewServer(h)
 	defer srv.Close()
 	client := NewClient(srv.URL)
 	ctx := context.Background()
@@ -83,8 +85,16 @@ func TestMetricsStatsAgree(t *testing.T) {
 		t.Fatal("bad spec accepted")
 	}
 	opt := NewTraceOptions()
-	if _, _, err := client.DownloadTrace(ctx, lastID, opt, io.Discard); err != nil {
+	served, _, err := client.DownloadTrace(ctx, lastID, opt, io.Discard)
+	if err != nil {
 		t.Fatal(err)
+	}
+	// The handler credits the body after its last write; wait for the
+	// count to land before reading the two views.
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if zc := h.ZeroCopy(); zc.SendfileBytes()+zc.FallbackBytes() >= served {
+			break
+		}
 	}
 
 	st, err := client.Stats(ctx)
@@ -129,13 +139,14 @@ func TestMetricsStatsAgree(t *testing.T) {
 
 	// The workload's known shape: 3 accepted, 1 rejected, 2 engine
 	// runs (the duplicate must not re-simulate), 1 cache hit, and the
-	// trace download moved bytes through the fallback path (httptest
-	// conns are not zero-copy wrapped).
+	// trace download's bytes all counted, through the fallback path
+	// (the blob is memory-resident).
 	if st.Submitted != 3 || st.Rejected != 1 || st.EngineRuns != 2 || st.CacheHits != 1 {
 		t.Errorf("workload counters off: %+v", st)
 	}
-	if st.ZcFallbackBytes <= 0 {
-		t.Errorf("trace download did not count fallback bytes: %+v", st)
+	if st.ZcFallbackBytes <= 0 || st.ZcSendfileBytes+st.ZcFallbackBytes != served {
+		t.Errorf("trace download of %d bytes counted sendfile %d + fallback %d",
+			served, st.ZcSendfileBytes, st.ZcFallbackBytes)
 	}
 	if st.UptimeSec <= 0 {
 		t.Errorf("uptime not reported: %+v", st)

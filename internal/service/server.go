@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strconv"
 
 	"nmo/internal/auth"
@@ -97,9 +98,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.router.ServeHTTP(w, r)
 }
 
-// ZeroCopy returns the server's data-plane counters. The daemon hands
-// the same object to zerocopy.WrapListener, so listener-side sendfile
-// accounting and handler-side fallback accounting land in one place.
+// ZeroCopy returns the server's data-plane counters, the ones
+// /v1/stats and /metrics report: file-extent (sendfile) and
+// user-space (fallback) trace body bytes, which sum to the trace bytes
+// served, plus the client-abort and serve-error counts.
 func (s *Server) ZeroCopy() *zerocopy.Counters { return s.zc }
 
 // MaxSpecBytes bounds the POST /v1/jobs body (a 256-scenario sweep
@@ -234,18 +236,18 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Pin the blob's current backing for this request: resident bytes,
-	// or an open handle on its spill file (which keeps serving even if
-	// the cache deletes the file mid-response).
-	data, h, bk, err := blob.open()
+	// or an open descriptor on its spill file (which keeps serving even
+	// if the cache deletes the file mid-response).
+	data, f, bk, err := blob.open()
 	if err != nil || bk == nil {
 		obs.WriteError(w, r, http.StatusNotFound, obs.CodeNotFound,
 			fmt.Sprintf("job %s: trace evicted from cache: %v", j.ID, err))
 		return
 	}
-	if h != nil {
-		defer bk.releaseFile(h)
+	if f != nil {
+		defer bk.releaseFile(f)
 	}
-	plan, err := tracePlan(blob, data, h, lo, hi, core, filtered)
+	plan, err := tracePlan(blob, data, f, lo, hi, core, filtered)
 	if err != nil {
 		obs.WriteError(w, r, http.StatusInternalServerError, obs.CodeInternal, err.Error())
 		return
@@ -255,7 +257,13 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Nmo-Trace-Md5", hex.EncodeToString(plan.MD5[:]))
 	w.Header().Set("Content-Length", strconv.FormatInt(plan.Size, 10))
 	w.WriteHeader(http.StatusOK)
-	s.zc.CountCopyErr(r.Context(), s.servePlan(w, r, plan, data, h))
+	// The GET route also answers HEAD: same headers, no body. net/http
+	// would swallow the body, but the copy would still read the blob
+	// and credit bytes nobody received.
+	if r.Method == http.MethodHead {
+		return
+	}
+	s.zc.CountCopyErr(r.Context(), s.servePlan(w, plan, data, f))
 }
 
 // tracePlan describes one trace response as a span plan. Unfiltered,
@@ -264,7 +272,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // RestreamPlanExact over the blob's resident or spilled bytes: whole
 // blocks as extents of the blob, straddlers and everything a core
 // filter keeps as literal bytes.
-func tracePlan(blob *TraceBlob, data []byte, h *fileHandle, lo, hi uint64, core int, filtered bool) (*trace.RestreamPlan, error) {
+func tracePlan(blob *TraceBlob, data []byte, f *os.File, lo, hi uint64, core int, filtered bool) (*trace.RestreamPlan, error) {
 	if !filtered {
 		return &trace.RestreamPlan{
 			Segments: []trace.PlanSegment{{Len: blob.Size()}},
@@ -273,8 +281,8 @@ func tracePlan(blob *TraceBlob, data []byte, h *fileHandle, lo, hi uint64, core 
 		}, nil
 	}
 	var src io.ReadSeeker = bytes.NewReader(data)
-	if h != nil {
-		src = io.NewSectionReader(h.f, 0, blob.Size())
+	if f != nil {
+		src = io.NewSectionReader(f, 0, blob.Size())
 	}
 	rd, err := trace.OpenV2(src)
 	if err != nil {
@@ -284,40 +292,42 @@ func tracePlan(blob *TraceBlob, data []byte, h *fileHandle, lo, hi uint64, core 
 }
 
 // servePlan writes a span plan's body: literals with Write, extents
-// either straight out of the resident slice or through the handle's
-// FileSection. On a zero-copy conn the FileSection reaches Conn.ReadFrom
-// and moves by sendfile(2), credited conn-side; anywhere else it is
-// pread through net/http's copy. Every byte that does not go through
-// the conn's own accounting is counted as fallback here, so
-// sendfile+fallback sums to the trace bytes served.
-func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, plan *trace.RestreamPlan, data []byte, h *fileHandle) error {
-	zc := zerocopy.FromContext(r.Context()) != nil
-	if h != nil && zc {
-		// Push the header onto the wire so net/http hands each extent
-		// to the conn's ReadFrom whole.
+// straight out of the resident slice (memory tier) or off the spill
+// file (file tier). A file extent is one *io.LimitedReader over the
+// seeked *os.File; once the header is on the wire, net/http's
+// response.ReadFrom hands it to the TCP conn, which sends it with
+// sendfile(2). Extent bytes are credited as sendfile, everything else
+// as fallback, so the two sum to the trace bytes served.
+func (s *Server) servePlan(w http.ResponseWriter, plan *trace.RestreamPlan, data []byte, f *os.File) error {
+	if f != nil {
+		// Flush the header now: until it is on the wire, net/http's
+		// ReadFrom copies a 512-byte sniff prefix of the first extent
+		// through a buffer before it hands the rest to the conn.
 		if fl, ok := w.(http.Flusher); ok {
 			fl.Flush()
 		}
 	}
 	for _, seg := range plan.Segments {
+		if seg.Data == nil && f != nil {
+			if _, err := f.Seek(seg.SrcOff, io.SeekStart); err != nil {
+				return err
+			}
+			n, err := io.Copy(w, &io.LimitedReader{R: f, N: seg.Len})
+			s.zc.AddSendfile(n)
+			if err == nil && n < seg.Len {
+				err = io.ErrUnexpectedEOF // spill file shorter than its plan
+			}
+			if err != nil {
+				return err
+			}
+			continue
+		}
 		p := seg.Data
-		if p == nil && h == nil {
+		if p == nil {
 			p = data[seg.SrcOff : seg.SrcOff+seg.Len]
 		}
-		var n int64
-		var err error
-		if p != nil {
-			var m int
-			m, err = w.Write(p)
-			n = int64(m)
-		} else {
-			h.fs.Set(h.f, seg.SrcOff, seg.Len)
-			n, err = io.Copy(w, &h.fs)
-			if zc {
-				n = 0 // credited by Conn.ReadFrom
-			}
-		}
-		s.zc.AddFallback(n)
+		n, err := w.Write(p)
+		s.zc.AddFallback(int64(n))
 		if err != nil {
 			return err
 		}

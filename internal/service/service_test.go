@@ -42,7 +42,7 @@ func newTestScheduler(t *testing.T, cfg SchedConfig) *Scheduler {
 }
 
 // waitDone waits for a job's terminal state.
-func waitDone(t *testing.T, j *Job) JobInfo {
+func waitDone(t testing.TB, j *Job) JobInfo {
 	t.Helper()
 	select {
 	case <-j.Done():

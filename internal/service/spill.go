@@ -199,14 +199,14 @@ func (c *Cache) loadDir() error {
 		claimed[name] = true
 		sc, blobs, mtime, why := c.verifyEntry(key, name)
 		for _, st := range sc.Traces {
-			if st.File != "" {
+			if blobFileName(st.File) {
 				claimed[st.File] = true
 			}
 		}
 		if why != "" {
 			c.quarantine(name, why)
 			for _, st := range sc.Traces {
-				if st.File != "" {
+				if blobFileName(st.File) {
 					if _, err := os.Stat(filepath.Join(c.cfg.Dir, st.File)); err == nil {
 						c.quarantine(st.File, "blob of quarantined entry "+key)
 					}
@@ -274,6 +274,9 @@ func (c *Cache) verifyEntry(key, name string) (sc sidecarDoc, blobs []*TraceBlob
 	}
 	for _, st := range sc.Traces {
 		if st.Bytes == 0 {
+			if st.File != "" {
+				return sc, nil, mtime, fmt.Sprintf("trace %q: empty trace names file %q", st.Name, st.File)
+			}
 			blobs = append(blobs, NewTraceBlob(st.Name, nil, [16]byte{}))
 			continue
 		}
@@ -283,10 +286,10 @@ func (c *Cache) verifyEntry(key, name string) (sc sidecarDoc, blobs []*TraceBlob
 			return sc, nil, mtime, fmt.Sprintf("trace %q: bad md5 %q", st.Name, st.MD5)
 		}
 		copy(sum[:], raw)
-		bpath := filepath.Join(c.cfg.Dir, st.File)
-		if st.File == "" || filepath.Base(st.File) != st.File {
+		if !blobFileName(st.File) {
 			return sc, nil, mtime, fmt.Sprintf("trace %q: bad file name %q", st.Name, st.File)
 		}
+		bpath := filepath.Join(c.cfg.Dir, st.File)
 		bfi, err := os.Stat(bpath)
 		if err != nil {
 			return sc, nil, mtime, fmt.Sprintf("trace %q: missing blob: %v", st.Name, err)
@@ -300,6 +303,14 @@ func (c *Cache) verifyEntry(key, name string) (sc sidecarDoc, blobs []*TraceBlob
 		blobs = append(blobs, fileTraceBlob(st.Name, bpath, st.Bytes, sum))
 	}
 	return sc, blobs, mtime, ""
+}
+
+// blobFileName reports whether a sidecar's file field names a blob
+// inside the spill directory: a bare name with the blob suffix. Any
+// other value ("", "..", a path) comes from a corrupt sidecar, and the
+// file it points at is never opened, adopted or quarantined.
+func blobFileName(name string) bool {
+	return filepath.Base(name) == name && strings.HasSuffix(name, spillBlobSuffix)
 }
 
 // verifyBlobFile opens a spilled v2/v2.1 file and rehashes its payload

@@ -276,11 +276,11 @@ type SchedStats struct {
 	Queued  int `json:"queued"`
 	Running int `json:"running"`
 	// The zero-copy data plane's byte accounting: trace body bytes
-	// moved by sendfile(2) (shard spill file → socket) and through the
-	// user-space copy (memory-tier blobs, plan literals, unwrapped/TLS
-	// conns, the gateway relay, non-Linux builds). The two sum to total
-	// trace bytes served, so the kernel-offload ratio is directly
-	// readable. ZcSpliceBytes always reads 0: the gateway's splice
+	// sent as spill-file extents (handed to net/http as a file range,
+	// which it sends with sendfile(2)) and written from user space
+	// (memory-tier blobs, plan literals, the gateway relay). The two
+	// sum to total trace bytes served, so the kernel-offload ratio is
+	// directly readable. ZcSpliceBytes always reads 0: the gateway's splice
 	// relay is gone and the field stays for compatibility.
 	// TraceClientAborts / TraceServeErrors
 	// split terminal copy failures into "client went away" vs "disk or

@@ -8,32 +8,31 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
+	"os"
 	"runtime"
 	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"nmo/internal/trace"
 	"nmo/internal/trace/tracetest"
-	"nmo/internal/zerocopy"
 )
 
-// zcServer is a real-TCP server wired exactly like cmd/nmod: wrapped
-// listener + ConnContext, so accepted conns carry the zero-copy state
-// and file-tier plan extents move by sendfile. httptest can't stand in
-// here — its conns are never wrapped, so it only ever exercises the
-// fallback copy.
-type zcServer struct {
+// tcpServer is a real-TCP server wired exactly like cmd/nmod: a plain
+// http.Server over a plain listener, so file-tier plan extents reach
+// net/http's sendfile path.
+type tcpServer struct {
 	h       *Server
 	client  *Client
 	accepts *int64
 }
 
 // countingListener counts Accept calls so the keep-alive test can
-// prove conn reuse across sendfile serves.
+// prove conn reuse across file-tier serves.
 type countingListener struct {
 	net.Listener
 	n *int64
@@ -59,7 +58,7 @@ func runJob(t *testing.T, sched *Scheduler, spec JobSpec) *TraceBlob {
 	return j.Artifacts().Traces[0]
 }
 
-func newZCServer(t *testing.T, sched *Scheduler) *zcServer {
+func newTCPServer(t *testing.T, sched *Scheduler) *tcpServer {
 	t.Helper()
 	h := NewServer(sched)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -67,10 +66,10 @@ func newZCServer(t *testing.T, sched *Scheduler) *zcServer {
 		t.Fatal(err)
 	}
 	accepts := new(int64)
-	srv := &http.Server{Handler: h, ConnContext: zerocopy.ConnContext}
-	go srv.Serve(zerocopy.WrapListener(countingListener{ln, accepts}, h.ZeroCopy()))
+	srv := &http.Server{Handler: h}
+	go srv.Serve(countingListener{ln, accepts})
 	t.Cleanup(func() { srv.Close() })
-	return &zcServer{
+	return &tcpServer{
 		h:       h,
 		client:  NewClient("http://" + ln.Addr().String()),
 		accepts: accepts,
@@ -127,12 +126,10 @@ func extentBytes(t *testing.T, rd *trace.ReaderV2, size int, lo, hi uint64, core
 
 // TestTraceServeMatrix crosses every dimension of the trace serve
 // path: storage tier (memory vs spill file) × format (v2 vs v2.1) ×
-// filter (none, time range, full span, core) × data plane (wrapped
-// real-TCP conn vs unwrapped httptest conn). Every cell is one span
+// filter (none, time range, full span, core). Every cell is one span
 // plan, so every response must be sized, carry an X-Nmo-Trace-Md5
 // equal to its body's rolling MD5, and hold exactly the naive
-// oracle's bytes — kernel offload and storage tier may never change
-// the wire.
+// oracle's bytes — the storage tier may never change the wire.
 func TestTraceServeMatrix(t *testing.T) {
 	ctx := context.Background()
 	for _, tier := range []string{"memory", "file"} {
@@ -161,15 +158,10 @@ func TestTraceServeMatrix(t *testing.T) {
 					t.Fatalf("blob file-backed = %v in %s tier", blob.FileBacked(), tier)
 				}
 
-				// Both servers front the same scheduler, so both serve
-				// the exact same stored blob.
-				zc := newZCServer(t, sched)
-				fb := httptest.NewServer(NewServer(sched))
-				t.Cleanup(fb.Close)
-
-				// Resubmit via HTTP to learn the job ID each client sees
+				srv := newTCPServer(t, sched)
+				// Resubmit via HTTP to learn the job ID the client sees
 				// (same content address → cache hit, no second run).
-				info, err := zc.client.Submit(ctx, spec)
+				info, err := srv.client.Submit(ctx, spec)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -192,7 +184,7 @@ func TestTraceServeMatrix(t *testing.T) {
 				// straddlers); the full span makes every block provably
 				// whole; a core filter keeps only literals.
 				b1 := rd.Block(1)
-				var wantSF int64
+				var wantSF, served int64
 				for _, fc := range []struct {
 					name   string
 					lo, hi uint64
@@ -210,51 +202,47 @@ func TestTraceServeMatrix(t *testing.T) {
 					if fc.name == "unfiltered" && !bytes.Equal(want, stored) {
 						t.Fatal("unfiltered oracle differs from the stored blob")
 					}
-					for _, plane := range []struct {
-						name, base string
-					}{
-						{"wrapped", zc.client.Base},
-						{"httptest", fb.URL},
-					} {
-						body, md5hex, size := getTrace(t, plane.base, id, fc.lo, fc.hi, fc.core)
-						cell := fc.name + "/" + plane.name
-						if !bytes.Equal(body, want) {
-							t.Errorf("%s: body differs from the oracle (%d vs %d bytes)", cell, len(body), len(want))
-						}
-						if size != int64(len(body)) {
-							t.Errorf("%s: Content-Length %d, body %d bytes", cell, size, len(body))
-						}
-						got, err := trace.OpenV2(bytes.NewReader(body))
-						if err != nil {
-							t.Fatalf("%s: served stream is not a valid v2 file: %v", cell, err)
-						}
-						sum, err := got.VerifyMD5()
-						if err != nil || md5hex != hex.EncodeToString(sum[:]) {
-							t.Errorf("%s: X-Nmo-Trace-Md5 %q, body rolling MD5 %x (%v)", cell, md5hex, sum, err)
-						}
+					body, md5hex, size := getTrace(t, srv.client.Base, id, fc.lo, fc.hi, fc.core)
+					if !bytes.Equal(body, want) {
+						t.Errorf("%s: body differs from the oracle (%d vs %d bytes)", fc.name, len(body), len(want))
+					}
+					if size != int64(len(body)) {
+						t.Errorf("%s: Content-Length %d, body %d bytes", fc.name, size, len(body))
+					}
+					got, err := trace.OpenV2(bytes.NewReader(body))
+					if err != nil {
+						t.Fatalf("%s: served stream is not a valid v2 file: %v", fc.name, err)
+					}
+					sum, err := got.VerifyMD5()
+					if err != nil || md5hex != hex.EncodeToString(sum[:]) {
+						t.Errorf("%s: X-Nmo-Trace-Md5 %q, body rolling MD5 %x (%v)", fc.name, md5hex, sum, err)
+					}
 
-						// The kernel-offload path must actually engage on
-						// Linux: every extent of a file-tier plan on the
-						// wrapped conn moves by sendfile — the whole blob
-						// unfiltered, every block on the full span, block 1
-						// in the time range. (Core filters alias through
-						// CoreMask, so they never have extents.) The conn
-						// credits the bytes after the last one is sent, so
-						// wait for the count to land.
-						if runtime.GOOS == "linux" && tier == "file" && plane.name == "wrapped" {
-							n := extentBytes(t, rd, len(stored), fc.lo, fc.hi, fc.core)
-							if (n > 0) != (fc.name != "core") {
-								t.Fatalf("%s: plan has %d extent bytes", cell, n)
-							}
-							wantSF += n
+					// Every extent of a file-tier plan is credited as
+					// sendfile — the whole blob unfiltered, every block
+					// on the full span, block 1 in the time range. (Core
+					// filters alias through CoreMask, so they never have
+					// extents.) Everything else is fallback. The handler
+					// credits after the body leaves, so wait for the
+					// counts to land.
+					if tier == "file" {
+						n := extentBytes(t, rd, len(stored), fc.lo, fc.hi, fc.core)
+						if (n > 0) != (fc.name != "core") {
+							t.Fatalf("%s: plan has %d extent bytes", fc.name, n)
 						}
-						deadline := time.Now().Add(5 * time.Second)
-						for zc.h.ZeroCopy().SendfileBytes() != wantSF && time.Now().Before(deadline) {
-							time.Sleep(time.Millisecond)
-						}
-						if got := zc.h.ZeroCopy().SendfileBytes(); got != wantSF {
-							t.Errorf("%s: sendfile bytes %d, want %d", cell, got, wantSF)
-						}
+						wantSF += n
+					}
+					served += int64(len(body))
+					zc := srv.h.ZeroCopy()
+					deadline := time.Now().Add(5 * time.Second)
+					for zc.SendfileBytes()+zc.FallbackBytes() != served && time.Now().Before(deadline) {
+						time.Sleep(time.Millisecond)
+					}
+					if got := zc.SendfileBytes(); got != wantSF {
+						t.Errorf("%s: sendfile bytes %d, want %d", fc.name, got, wantSF)
+					}
+					if got := zc.SendfileBytes() + zc.FallbackBytes(); got != served {
+						t.Errorf("%s: sendfile+fallback %d, served %d", fc.name, got, served)
 					}
 				}
 			})
@@ -262,12 +250,12 @@ func TestTraceServeMatrix(t *testing.T) {
 	}
 }
 
-// TestTraceServeKeepAlive proves the sendfile path preserves HTTP/1.1
-// framing: ten sequential downloads (unfiltered + filtered, so both
-// the whole-blob and filtered plans run) over one client must reuse one
-// TCP conn — if sendfile bytes escaped net/http's response accounting,
-// the Content-Length bookkeeping would break and the conn would die
-// after the first response.
+// TestTraceServeKeepAlive proves the file-tier path preserves
+// HTTP/1.1 framing: ten sequential downloads (unfiltered + filtered,
+// so both the whole-blob and filtered plans run) over one client must
+// reuse one TCP conn — if extent bytes escaped net/http's response
+// accounting, the Content-Length bookkeeping would break and the conn
+// would die after the first response.
 func TestTraceServeKeepAlive(t *testing.T) {
 	cache, err := NewCache(CacheConfig{Dir: t.TempDir(), MemBudget: 1})
 	if err != nil {
@@ -281,9 +269,9 @@ func TestTraceServeKeepAlive(t *testing.T) {
 	}
 	want := blobBytes(t, blob)
 
-	zc := newZCServer(t, sched)
+	srv := newTCPServer(t, sched)
 	ctx := context.Background()
-	info, err := zc.client.Submit(ctx, quickJob(92))
+	info, err := srv.client.Submit(ctx, quickJob(92))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,19 +290,294 @@ func TestTraceServeKeepAlive(t *testing.T) {
 			opt = ranged
 		}
 		buf.Reset()
-		if _, _, err := zc.client.DownloadTrace(ctx, info.ID, opt, &buf); err != nil {
+		if _, _, err := srv.client.DownloadTrace(ctx, info.ID, opt, &buf); err != nil {
 			t.Fatalf("download %d: %v", i, err)
 		}
 		if opt.FromNs == 0 && !bytes.Equal(buf.Bytes(), want) {
 			t.Fatalf("download %d: bytes differ from stored blob", i)
 		}
 	}
-	if n := atomic.LoadInt64(zc.accepts); n != 1 {
+	if n := atomic.LoadInt64(srv.accepts); n != 1 {
 		t.Errorf("10 keep-alive downloads used %d conns, want 1", n)
 	}
-	if runtime.GOOS == "linux" {
-		if zc.h.ZeroCopy().SendfileBytes() == 0 {
-			t.Error("no sendfile bytes counted across keep-alive downloads")
+	if srv.h.ZeroCopy().SendfileBytes() == 0 {
+		t.Error("no sendfile bytes counted across keep-alive downloads")
+	}
+}
+
+// readFromConn records what net/http's response.ReadFrom hands the
+// conn: the reader's dynamic type and, for an *io.LimitedReader over
+// an *os.File (the shape net.sendFile accepts), its N.
+type readFromConn struct {
+	*net.TCPConn
+	log *readFromLog
+}
+
+// readFromLog is one listener's ReadFrom record. Extents for a file
+// range log their length; any other reader logs -1.
+type readFromLog struct {
+	mu sync.Mutex
+	ns []int64
+}
+
+func (c readFromConn) ReadFrom(r io.Reader) (int64, error) {
+	n := int64(-1)
+	if lr, ok := r.(*io.LimitedReader); ok {
+		if _, ok := lr.R.(*os.File); ok {
+			n = lr.N
 		}
+	}
+	c.log.mu.Lock()
+	c.log.ns = append(c.log.ns, n)
+	c.log.mu.Unlock()
+	return c.TCPConn.ReadFrom(r)
+}
+
+func (l *readFromLog) take() []int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ns := l.ns
+	l.ns = nil
+	return ns
+}
+
+type readFromListener struct {
+	net.Listener
+	log *readFromLog
+}
+
+func (l readFromListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		return readFromConn{tc, l.log}, nil
+	}
+	return c, err
+}
+
+// TestTraceServeSendfileEligible pins that the offload is real, not
+// assumed: served through NewServer (metrics middleware plus auth) on
+// a real TCP listener, every file-tier extent must reach the conn's
+// ReadFrom as an *io.LimitedReader over the spill *os.File with N
+// equal to the extent's length — the one shape net.sendFile turns
+// into sendfile(2) — for unfiltered and time-window plans alike.
+func TestTraceServeSendfileEligible(t *testing.T) {
+	cache, err := NewCache(CacheConfig{Dir: t.TempDir(), MemBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := NewScheduler(SchedConfig{Workers: 1}, cache)
+	t.Cleanup(sched.Close)
+	spec := quickJob(93)
+	spec.Scenarios[0].BlockSamples = 32
+	blob := runJob(t, sched, spec)
+	if !blob.FileBacked() {
+		t.Fatal("fixture blob is not file-backed")
+	}
+	stored := blobBytes(t, blob)
+	rd, err := trace.OpenV2(bytes.NewReader(stored))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	log := new(readFromLog)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: NewServer(sched)}
+	go srv.Serve(readFromListener{ln, log})
+	t.Cleanup(func() { srv.Close() })
+	base := "http://" + ln.Addr().String()
+	info, err := NewClient(base).Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b1 := rd.Block(1)
+	for _, fc := range []struct {
+		name   string
+		lo, hi uint64
+	}{
+		{"unfiltered", 0, 0},
+		{"timerange", b1.TimeMin, b1.TimeMax + 1},
+	} {
+		var want []int64
+		if fc.lo == 0 && fc.hi == 0 {
+			want = []int64{int64(len(stored))}
+		} else {
+			plan, err := trace.RestreamPlanExact(rd, fc.lo, fc.hi, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seg := range plan.Segments {
+				if seg.Data == nil {
+					want = append(want, seg.Len)
+				}
+			}
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: plan has no extents", fc.name)
+		}
+		getTrace(t, base, info.ID, fc.lo, fc.hi, -1)
+		if got := log.take(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: conn ReadFrom saw %v, want file ranges %v", fc.name, got, want)
+		}
+	}
+}
+
+// TestTraceServeSendfileSyscalls checks the offload from the kernel's
+// side on a multi-MiB extent: the write-family syscalls per request
+// (syscw in /proc/self/io, which counts each sendfile(2) and write(2))
+// must stay O(1), where a user-space copy would issue one per 32 KiB.
+// Client and server share the process; the client only reads, so it
+// adds the request write and little else.
+func TestTraceServeSendfileSyscalls(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("syscw is a Linux /proc/self/io field")
+	}
+	if _, err := readSyscw(); err != nil {
+		t.Skip(err)
+	}
+	cache, err := NewCache(CacheConfig{Dir: t.TempDir(), MemBudget: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := NewScheduler(SchedConfig{Workers: 1}, cache)
+	t.Cleanup(sched.Close)
+	spec := benchSpec(1)
+	spec.Scenarios[0].Elems = 200_000
+	spec.Scenarios[0].Iters = 24
+	spec.Scenarios[0].Period = 64
+	blob := runJob(t, sched, spec)
+	if !blob.FileBacked() || blob.Size() < 4<<20 {
+		t.Fatalf("fixture blob: %d bytes, file-backed %v; want a >= 4 MiB spill file", blob.Size(), blob.FileBacked())
+	}
+
+	srv := newTCPServer(t, sched)
+	info, err := srv.client.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceURL := srv.client.Base + "/v1/jobs/" + info.ID + "/trace"
+	fetch := func() {
+		resp, err := http.Get(traceURL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		n, err := io.Copy(io.Discard, resp.Body)
+		if err != nil || n != blob.Size() {
+			t.Fatalf("downloaded %d of %d bytes: %v", n, blob.Size(), err)
+		}
+	}
+	fetch() // warm the pooled descriptor and the keep-alive conn
+
+	// The fewest syscalls over a few requests, so one preempted or
+	// backpressured request cannot fail the bound.
+	best := int64(-1)
+	for i := 0; i < 3; i++ {
+		before, _ := readSyscw()
+		fetch()
+		after, _ := readSyscw()
+		if d := after - before; best < 0 || d < best {
+			best = d
+		}
+	}
+	copyWrites := blob.Size() / (32 << 10)
+	t.Logf("%d-byte extent: %d write syscalls per request (a 32 KiB copy needs %d)", blob.Size(), best, copyWrites)
+	if best > copyWrites/4 {
+		t.Errorf("%d write syscalls per %d-byte request; want O(1), a 32 KiB copy is %d", best, blob.Size(), copyWrites)
+	}
+}
+
+// readSyscw returns the process's write-family syscall count.
+func readSyscw() (int64, error) {
+	raw, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return 0, err
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if v, ok := strings.CutPrefix(line, "syscw: "); ok {
+			return strconv.ParseInt(v, 10, 64)
+		}
+	}
+	return 0, fmt.Errorf("no syscw in /proc/self/io")
+}
+
+// TestTraceServeHead: the GET trace route also answers HEAD (Go 1.22
+// mux). A HEAD must carry the GET's Content-Length and
+// X-Nmo-Trace-Md5, send no body, and credit no data-plane or
+// response-byte counter — on both tiers, unfiltered and filtered.
+func TestTraceServeHead(t *testing.T) {
+	for _, tier := range []string{"memory", "file"} {
+		t.Run(tier, func(t *testing.T) {
+			var cache *Cache
+			if tier == "file" {
+				var err error
+				cache, err = NewCache(CacheConfig{Dir: t.TempDir(), MemBudget: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			sched := NewScheduler(SchedConfig{Workers: 1}, cache)
+			t.Cleanup(sched.Close)
+			spec := quickJob(94)
+			spec.Scenarios[0].BlockSamples = 32
+			blob := runJob(t, sched, spec)
+			if blob.FileBacked() != (tier == "file") {
+				t.Fatalf("blob file-backed = %v in %s tier", blob.FileBacked(), tier)
+			}
+			srv := newTCPServer(t, sched)
+			info, err := srv.client.Submit(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd, err := trace.OpenV2(bytes.NewReader(blobBytes(t, blob)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b1 := rd.Block(1)
+			traceURL := srv.client.Base + "/v1/jobs/" + info.ID + "/trace"
+			queries := []string{"", fmt.Sprintf("?from=%d&to=%d", b1.TimeMin, b1.TimeMax+1)}
+			heads := make([]*http.Response, len(queries))
+			for i, q := range queries {
+				resp, err := http.Head(traceURL + q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || len(body) != 0 {
+					t.Fatalf("HEAD%s: status %d, %d body bytes", q, resp.StatusCode, len(body))
+				}
+				heads[i] = resp
+			}
+			zc := srv.h.ZeroCopy()
+			if n := zc.SendfileBytes() + zc.FallbackBytes(); n != 0 {
+				t.Errorf("HEADs credited %d data-plane bytes", n)
+			}
+			series := `nmo_http_response_bytes_sum{route="GET /v1/jobs/{id}/trace"}`
+			if n, ok := scrapeMetrics(t, srv.client.Base)[series]; !ok || n != 0 {
+				t.Errorf("HEADs credited %v response bytes (series present: %v)", n, ok)
+			}
+
+			for i, q := range queries {
+				resp, err := http.Get(traceURL + q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if h := heads[i]; h.ContentLength != int64(len(body)) || len(body) == 0 {
+					t.Errorf("HEAD%s: Content-Length %d, GET body %d bytes", q, h.ContentLength, len(body))
+				}
+				if h, g := heads[i].Header.Get("X-Nmo-Trace-Md5"), resp.Header.Get("X-Nmo-Trace-Md5"); h != g || h == "" {
+					t.Errorf("HEAD%s: X-Nmo-Trace-Md5 %q, GET's %q", q, h, g)
+				}
+			}
+		})
 	}
 }

@@ -19,79 +19,9 @@ const (
 	fSetPipeSz      = 1031 // F_SETPIPE_SZ
 )
 
-// maxSendfileChunk bounds one sendfile(2) call so a huge blob cannot
-// pin the poller loop; 4 MiB amortizes the syscall without hogging.
-const maxSendfileChunk = 4 << 20
-
 // pipeSize is the capacity we ask of the Drainer's pipes (best
 // effort; the kernel default is 64 KiB).
 const pipeSize = 1 << 20
-
-// sendfile drives the kernel copy file→socket on the cached raw fd.
-// Returns bytes moved, the terminal error, and whether the offload was
-// usable at all — false (with 0 bytes) sends the caller to the
-// fallback copy.
-func (c *Conn) sendfile(fs *FileSection) (int64, error, bool) {
-	rc, err := c.rawConn()
-	if err != nil {
-		return 0, nil, false
-	}
-	if c.step == nil {
-		c.step = c.sendfileStep
-	}
-	c.file, c.moved, c.terr, c.refuse = fs, 0, nil, false
-	werr := rc.Write(c.step)
-	n, refuse := c.moved, c.refuse
-	if werr == nil {
-		werr = c.terr
-	}
-	c.file = nil
-	runtime.KeepAlive(fs.f)
-	if refuse && n == 0 {
-		return 0, nil, false
-	}
-	return n, werr, true
-}
-
-// sendfileStep is the downstream-writability step, bound once per
-// conn: sendfile chunks until the section is done. Returning false
-// parks in the poller until the socket accepts more.
-func (c *Conn) sendfileStep(fd uintptr) bool {
-	fs := c.file
-	for fs.remain > 0 {
-		chunk := fs.remain
-		if chunk > maxSendfileChunk {
-			chunk = maxSendfileChunk
-		}
-		// syscall.Sendfile advances fs.off itself.
-		n, err := syscall.Sendfile(int(fd), int(fs.fd), &fs.off, int(chunk))
-		if n > 0 {
-			fs.remain -= int64(n)
-			c.moved += int64(n)
-		}
-		switch err {
-		case nil:
-			if n == 0 {
-				c.terr = io.ErrUnexpectedEOF // file shorter than promised
-				return true
-			}
-		case syscall.EINTR:
-		case syscall.EAGAIN:
-			return false
-		case syscall.EINVAL, syscall.ENOSYS, syscall.EOPNOTSUPP, syscall.EOVERFLOW:
-			if c.moved == 0 {
-				c.refuse = true
-			} else {
-				c.terr = err
-			}
-			return true
-		default:
-			c.terr = err
-			return true
-		}
-	}
-	return true
-}
 
 // pipePair is one reusable splice pipe. Pairs are pooled; a pair the
 // pool drops is closed by its finalizer, so churn leaks no fds.
@@ -282,7 +212,7 @@ func (d *Drainer) Close() error {
 
 // FadviseWillNeed hints the kernel to read the whole file ahead —
 // called when a spill-file serve handle is first opened, so the disk
-// read overlaps the response instead of stalling the first sendfile.
+// read overlaps the response instead of stalling the first extent.
 func FadviseWillNeed(f *os.File) {
 	fadvise(f.Fd(), 3 /* POSIX_FADV_WILLNEED */)
 	runtime.KeepAlive(f)

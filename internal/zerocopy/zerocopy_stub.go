@@ -22,10 +22,6 @@ func (d *Drainer) Discard(n int64) (int64, error) { return d.discardCopy(n) }
 // Close is a no-op; the wrapped connection stays open.
 func (d *Drainer) Close() error { return nil }
 
-// sendfile is the portable no-offload answer: not handled, so ReadFrom
-// serves the section through the pooled fallback copy.
-func (c *Conn) sendfile(fs *FileSection) (int64, error, bool) { return 0, nil, false }
-
 // FadviseWillNeed is a no-op off Linux.
 func FadviseWillNeed(f *os.File) {}
 
