@@ -303,9 +303,12 @@ func engineBatch(n int) []engine.Scenario {
 // BenchmarkEngineParallelSpeedup runs the same scenario batch at
 // jobs=1 and jobs=GOMAXPROCS and reports the wall-clock speedup — the
 // engine's reason to exist. On an N-core host the speedup approaches
-// min(N, batch size); on one core it stays ~1 (and must not regress
-// below it by much, i.e. the pool adds no meaningful overhead).
+// min(N, batch size). With one worker both legs are the same serial
+// run, so the bench skips rather than report a "speedup" of noise.
 func BenchmarkEngineParallelSpeedup(b *testing.B) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		b.Skip("needs GOMAXPROCS >= 2 for a parallel leg")
+	}
 	const batchSize = 8
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()

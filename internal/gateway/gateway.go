@@ -18,7 +18,6 @@ import (
 	"nmo/internal/auth"
 	"nmo/internal/obs"
 	"nmo/internal/service"
-	"nmo/internal/zerocopy"
 )
 
 // Config sizes a gateway.
@@ -93,7 +92,7 @@ type Gateway struct {
 	ring    *Ring
 	router  *obs.Router
 	httpc   *http.Client
-	zc      *zerocopy.Counters
+	zc      *service.Counters
 	reg     *obs.Registry
 	httpm   *obs.HTTPMetrics
 	auth    *auth.Middleware
@@ -135,7 +134,7 @@ func New(cfg Config) (*Gateway, error) {
 		probeEvery:   cfg.ProbeEvery,
 		probeTimeout: cfg.ProbeTimeout,
 		stop:         make(chan struct{}),
-		zc:           new(zerocopy.Counters),
+		zc:           new(service.Counters),
 		reg:          obs.NewRegistry(),
 	}
 	obs.RegisterBuildInfo(g.reg)
@@ -205,7 +204,7 @@ func (g *Gateway) Close() {
 // ZeroCopy returns the gateway's data-plane counters: trace bytes
 // relayed (all through the user-space copy) and terminal copy
 // outcomes.
-func (g *Gateway) ZeroCopy() *zerocopy.Counters { return g.zc }
+func (g *Gateway) ZeroCopy() *service.Counters { return g.zc }
 
 // ServeHTTP implements http.Handler.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {

@@ -16,10 +16,10 @@
 // A Registry is the single source of truth: the same Counter that
 // backs a `/v1/stats` JSON field is rendered by `/metrics`, so the
 // two views cannot drift (service.TestMetricsStatsAgree pins this).
-// Pre-existing atomics that live in tight data-plane structs
-// (zerocopy.Counters, the cache's tier accounting) join the registry
-// as func-backed metrics read at scrape time — still one underlying
-// word per counter.
+// Pre-existing atomics that live in tight data-plane structs (the
+// trace data plane's service.Counters, the cache's tier accounting)
+// join the registry as func-backed metrics read at scrape time — still
+// one underlying word per counter.
 package obs
 
 import (

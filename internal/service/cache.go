@@ -5,43 +5,16 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-
-	"nmo/internal/zerocopy"
 )
 
 // blobBacking is the storage a TraceBlob currently serves from: a
 // resident byte slice, a spill file, or both (write-through). The
-// data/path fields are immutable; demotion and promotion swap the
-// pointer atomically so in-flight serves keep whichever backing they
-// loaded. files pools open descriptors on the spill file so the hot
-// serve path pays os.Open once, not per request.
+// fields are immutable; demotion and promotion swap the pointer
+// atomically so in-flight serves keep whichever backing they loaded.
 type blobBacking struct {
-	data  []byte // resident copy; nil once demoted to disk
-	path  string // spill file; "" for memory-only blobs
-	files sync.Pool
+	data []byte // resident copy; nil once demoted to disk
+	path string // spill file; "" for memory-only blobs
 }
-
-// acquireFile returns an open descriptor on the spill file, reusing a
-// pooled one when available. A serve has the descriptor to itself and
-// seeks before every extent, so the offset a previous serve left
-// never matters. Descriptors that fall out of the pool are closed by
-// the runtime's os.File cleanup, so an evicted backing leaks nothing.
-func (bk *blobBacking) acquireFile() (*os.File, error) {
-	if f, _ := bk.files.Get().(*os.File); f != nil {
-		return f, nil
-	}
-	f, err := os.Open(bk.path)
-	if err != nil {
-		return nil, err
-	}
-	// A fresh descriptor means this blob wasn't recently served: hint
-	// the whole file ahead so the disk read overlaps the response.
-	zerocopy.FadviseWillNeed(f)
-	return f, nil
-}
-
-// releaseFile returns a descriptor from acquireFile to the pool.
-func (bk *blobBacking) releaseFile(f *os.File) { bk.files.Put(f) }
 
 // TraceBlob is one scenario's stored v2 (or v2.1) trace: the exact
 // bytes the run's writer sink produced, plus the stream's rolling MD5.
@@ -49,7 +22,7 @@ func (bk *blobBacking) releaseFile(f *os.File) { bk.files.Put(f) }
 // must be byte-identical to a local run's file) or plans a filtered
 // copy. A blob may be memory-resident, file-backed (spilled to the
 // cache directory and demoted), or both; the accessor methods hide
-// which, except that file-backed serves hand the handler a pooled
+// which, except that file-backed serves hand the handler an open
 // *os.File so the payload is never read back onto the heap.
 type TraceBlob struct {
 	Name string
@@ -100,23 +73,20 @@ func (b *TraceBlob) Bytes() ([]byte, error) {
 }
 
 // open pins the blob's current backing for one request: either the
-// resident bytes or a descriptor drawn from the backing's pool (the
-// caller must return it with bk.releaseFile). An evicted-but-open
-// file keeps serving to its in-flight readers under POSIX unlink
-// semantics.
-func (b *TraceBlob) open() (data []byte, f *os.File, bk *blobBacking, err error) {
-	bk = b.backing.Load()
+// resident bytes or a freshly opened descriptor on the spill file,
+// which the caller must close. An evicted-but-open file keeps serving
+// its in-flight reader under POSIX unlink semantics; an open after
+// the eviction fails with an os.ErrNotExist error.
+func (b *TraceBlob) open() (data []byte, f *os.File, err error) {
+	bk := b.backing.Load()
 	if bk == nil {
-		return nil, nil, nil, nil
+		return nil, nil, nil
 	}
 	if bk.data != nil || bk.path == "" {
-		return bk.data, nil, bk, nil
+		return bk.data, nil, nil
 	}
-	f, err = bk.acquireFile()
-	if err != nil {
-		return nil, nil, bk, err
-	}
-	return nil, f, bk, nil
+	f, err = os.Open(bk.path)
+	return nil, f, err
 }
 
 // JobArtifacts is everything a finished job can serve: the result

@@ -1,12 +1,16 @@
 package service
 
 import (
+	"context"
+	"errors"
+	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"time"
 
 	"nmo/internal/obs"
-	"nmo/internal/zerocopy"
 )
 
 // JobPhaseNames are the lifecycle phases every job's timing breakdown
@@ -24,7 +28,7 @@ var JobPhaseNames = []string{"cache_lookup", "queue_wait", "run", "digest", "spi
 //
 // The scheduler's former ad-hoc atomics (submitted/rejected/engine
 // runs) live here as registry-owned counters; the cache tiers and the
-// zero-copy data plane join as func-backed metrics read at scrape
+// trace data plane's Counters join as func-backed metrics read at scrape
 // time from their existing atomics.
 type Metrics struct {
 	Reg   *obs.Registry
@@ -135,14 +139,95 @@ func (m *Metrics) PhaseStats() []PhaseStat {
 	return out
 }
 
-// RegisterDataPlane folds a zerocopy.Counters into a registry as
+// Counters is the trace data plane's byte accounting, kept by a
+// daemon's HTTP handlers. Sendfile bytes are spill-file extents handed
+// to net/http as a sendfile-eligible file range; fallback bytes are
+// written from user space (memory-tier blobs, plan literals, the
+// gateway relay). Terminal copy outcomes split into client aborts vs
+// local/upstream errors. All methods are nil-safe so plumbing can stay
+// optional.
+type Counters struct {
+	sendfile atomic.Int64
+	fallback atomic.Int64
+	aborts   atomic.Uint64
+	errors   atomic.Uint64
+}
+
+// AddSendfile credits n spill-file extent bytes.
+func (c *Counters) AddSendfile(n int64) {
+	if c != nil && n > 0 {
+		c.sendfile.Add(n)
+	}
+}
+
+// AddFallback credits n bytes written from user space.
+func (c *Counters) AddFallback(n int64) {
+	if c != nil && n > 0 {
+		c.fallback.Add(n)
+	}
+}
+
+// NoteAbort records a body copy cut short by the client going away.
+func (c *Counters) NoteAbort() {
+	if c != nil {
+		c.aborts.Add(1)
+	}
+}
+
+// NoteError records a body copy broken by a disk or upstream failure.
+func (c *Counters) NoteError() {
+	if c != nil {
+		c.errors.Add(1)
+	}
+}
+
+// SendfileBytes returns the sendfile byte total.
+func (c *Counters) SendfileBytes() int64 { return c.sendfile.Load() }
+
+// FallbackBytes returns the user-space byte total.
+func (c *Counters) FallbackBytes() int64 { return c.fallback.Load() }
+
+// ClientAborts returns the client-abort count.
+func (c *Counters) ClientAborts() uint64 { return c.aborts.Load() }
+
+// Errors returns the disk/upstream failure count.
+func (c *Counters) Errors() uint64 { return c.errors.Load() }
+
+// CountCopyErr classifies and counts a body-copy error: a canceled
+// request context, EPIPE, ECONNRESET, or a closed local conn means the
+// client went away (an abort, not a server problem); anything else is
+// a disk or upstream failure. A nil err counts nothing.
+func (c *Counters) CountCopyErr(ctx context.Context, err error) {
+	if err == nil {
+		return
+	}
+	if isClientAbort(ctx, err) {
+		c.NoteAbort()
+	} else {
+		c.NoteError()
+	}
+}
+
+// isClientAbort reports whether a response-body copy error means the
+// client disconnected rather than the server failing to produce the
+// bytes.
+func isClientAbort(ctx context.Context, err error) bool {
+	if ctx != nil && ctx.Err() != nil {
+		return true
+	}
+	return errors.Is(err, syscall.EPIPE) ||
+		errors.Is(err, syscall.ECONNRESET) ||
+		errors.Is(err, net.ErrClosed)
+}
+
+// RegisterDataPlane folds a Counters into a registry as
 // func-backed metrics: the byte paths of the trace data plane (they
 // sum to total trace bytes served) and the terminal copy outcome
 // classification. The splice path no longer exists and always reads
 // 0; the series stays so dashboards keep their shape. Shared by the
 // shard server and the gateway — each tier registers its own counters
 // into its own registry.
-func RegisterDataPlane(reg *obs.Registry, zc *zerocopy.Counters) {
+func RegisterDataPlane(reg *obs.Registry, zc *Counters) {
 	reg.CounterFunc("nmo_zc_bytes_total",
 		"Trace body bytes moved, by data-plane path (sendfile/splice/fallback).",
 		func() float64 { return float64(zc.SendfileBytes()) }, obs.L("path", "sendfile"))

@@ -141,12 +141,6 @@ func (j *Job) Artifacts() *JobArtifacts {
 // job's key has an outcome (fill or abort).
 func (j *Job) Done() <-chan struct{} { return j.entry.done }
 
-func (j *Job) setState(s JobState) {
-	j.mu.Lock()
-	j.state = s
-	j.mu.Unlock()
-}
-
 // finish moves the job to a terminal state. The audit line is written
 // after the lock is released — the sink serializes on its own mutex
 // and must not nest inside j.mu.

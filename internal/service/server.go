@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,7 +14,6 @@ import (
 	"nmo/internal/auth"
 	"nmo/internal/obs"
 	"nmo/internal/trace"
-	"nmo/internal/zerocopy"
 )
 
 // Server exposes a Scheduler over HTTP. Routes (Go 1.22 pattern mux):
@@ -47,7 +47,7 @@ import (
 type Server struct {
 	sched  *Scheduler
 	router *obs.Router
-	zc     *zerocopy.Counters
+	zc     *Counters
 	m      *Metrics
 	auth   *auth.Middleware
 }
@@ -65,9 +65,9 @@ func WithAuth(a *auth.Middleware) ServerOption {
 // behind the scheduler's metrics middleware (request counts, latency
 // and size histograms, request-ID boundary, audit lines), and the
 // backing registry is exposed at GET /metrics — including this
-// server's zero-copy data-plane counters.
+// server's trace data-plane counters.
 func NewServer(sched *Scheduler, opts ...ServerOption) *Server {
-	s := &Server{sched: sched, zc: new(zerocopy.Counters), m: sched.Metrics()}
+	s := &Server{sched: sched, zc: new(Counters), m: sched.Metrics()}
 	for _, o := range opts {
 		o(s)
 	}
@@ -102,7 +102,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // /v1/stats and /metrics report: file-extent (sendfile) and
 // user-space (fallback) trace body bytes, which sum to the trace bytes
 // served, plus the client-abort and serve-error counts.
-func (s *Server) ZeroCopy() *zerocopy.Counters { return s.zc }
+func (s *Server) ZeroCopy() *Counters { return s.zc }
 
 // MaxSpecBytes bounds the POST /v1/jobs body (a 256-scenario sweep
 // spec is a few tens of KB; a megabyte is generous). Exported so the
@@ -237,15 +237,22 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 	// Pin the blob's current backing for this request: resident bytes,
 	// or an open descriptor on its spill file (which keeps serving even
-	// if the cache deletes the file mid-response).
-	data, f, bk, err := blob.open()
-	if err != nil || bk == nil {
+	// if the cache deletes the file mid-response). A missing file means
+	// the cache evicted the entry; any other open failure (EMFILE, a
+	// broken spill directory) is the server's.
+	data, f, err := blob.open()
+	if errors.Is(err, os.ErrNotExist) {
 		obs.WriteError(w, r, http.StatusNotFound, obs.CodeNotFound,
-			fmt.Sprintf("job %s: trace evicted from cache: %v", j.ID, err))
+			fmt.Sprintf("job %s: trace evicted from cache", j.ID))
+		return
+	}
+	if err != nil {
+		obs.WriteError(w, r, http.StatusInternalServerError, obs.CodeInternal,
+			fmt.Sprintf("job %s: open trace: %v", j.ID, err))
 		return
 	}
 	if f != nil {
-		defer bk.releaseFile(f)
+		defer f.Close()
 	}
 	plan, err := tracePlan(blob, data, f, lo, hi, core, filtered)
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"nmo/internal/trace"
-	"nmo/internal/zerocopy"
 )
 
 // The spill directory holds, per cached entry:
@@ -107,10 +106,6 @@ func (c *Cache) removeSpill(e *entry) {
 	os.Remove(filepath.Join(c.cfg.Dir, e.key+spillMetaSuffix))
 	for _, b := range e.art.Traces {
 		if bk := b.backing.Load(); bk != nil && bk.path != "" {
-			// The blob is dead: hand its page-cache pages back before
-			// the unlink, so a churning disk tier doesn't squat on
-			// memory the live blobs (and the OS) want.
-			zerocopy.DropPageCache(bk.path)
 			os.Remove(bk.path)
 		}
 	}

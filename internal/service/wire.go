@@ -275,7 +275,7 @@ type SchedStats struct {
 	// Queued / Running are current occupancy.
 	Queued  int `json:"queued"`
 	Running int `json:"running"`
-	// The zero-copy data plane's byte accounting: trace body bytes
+	// The trace data plane's byte accounting: trace body bytes
 	// sent as spill-file extents (handed to net/http as a file range,
 	// which it sends with sendfile(2)) and written from user space
 	// (memory-tier blobs, plan literals, the gateway relay). The two

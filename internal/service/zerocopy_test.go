@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/url"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -18,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"nmo/internal/obs"
 	"nmo/internal/trace"
 	"nmo/internal/trace/tracetest"
 )
@@ -470,7 +473,7 @@ func TestTraceServeSendfileSyscalls(t *testing.T) {
 			t.Fatalf("downloaded %d of %d bytes: %v", n, blob.Size(), err)
 		}
 	}
-	fetch() // warm the pooled descriptor and the keep-alive conn
+	fetch() // warm the keep-alive conn
 
 	// The fewest syscalls over a few requests, so one preempted or
 	// backpressured request cannot fail the bound.
@@ -579,5 +582,138 @@ func TestTraceServeHead(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// fdCount returns the number of open descriptors in the process.
+func fdCount(t *testing.T) int {
+	t.Helper()
+	des, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(des)
+}
+
+// TestTraceServeEvictedSpill pins the per-request spill-file open
+// against disk-tier eviction: file-tier serves close their descriptor
+// (on Linux, 100 downloads leave the process's fd count where it
+// was), a descriptor opened before an eviction still reads the whole
+// blob (POSIX unlink semantics), and a request after the eviction
+// gets the not_found envelope.
+func TestTraceServeEvictedSpill(t *testing.T) {
+	const diskBudget = 4 << 20
+	cache, err := NewCache(CacheConfig{Dir: t.TempDir(), MemBudget: 1, DiskBudget: diskBudget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := NewScheduler(SchedConfig{Workers: 1}, cache)
+	t.Cleanup(sched.Close)
+	job, err := sched.Submit(quickJob(96))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, job)
+	blob := job.Artifacts().Traces[0]
+	if !blob.FileBacked() || blob.Size() >= diskBudget {
+		t.Fatalf("fixture blob: %d bytes, file-backed %v; want a spill file under %d bytes",
+			blob.Size(), blob.FileBacked(), diskBudget)
+	}
+	want := blobBytes(t, blob)
+	srv := newTCPServer(t, sched)
+	ctx := context.Background()
+
+	var buf bytes.Buffer
+	download := func() {
+		buf.Reset()
+		if _, _, err := srv.client.DownloadTrace(ctx, job.ID, NewTraceOptions(), &buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatal("file-tier download differs from the stored blob")
+		}
+	}
+	download() // open the keep-alive conn before counting
+	if runtime.GOOS == "linux" {
+		// Other tests' lingering conns and finalizers may close fds
+		// meanwhile, so only growth is a leak.
+		before := fdCount(t)
+		for i := 0; i < 100; i++ {
+			download()
+		}
+		if after := fdCount(t); after > before {
+			t.Errorf("100 file-tier downloads grew the fd count %d -> %d", before, after)
+		}
+	}
+
+	_, f, err := blob.open()
+	if err != nil || f == nil {
+		t.Fatalf("open file-backed blob: %v, %v", f, err)
+	}
+	defer f.Close()
+	path := f.Name()
+
+	// A filler entry of the whole disk budget makes the job's entry
+	// the coldest over budget: it is evicted and its files unlinked.
+	fill, leader := cache.Acquire(strings.Repeat("ff", 32))
+	if !leader {
+		t.Fatal("filler key already cached")
+	}
+	cache.Fill(fill, &JobArtifacts{Traces: []*TraceBlob{
+		NewTraceBlob("fill", make([]byte, diskBudget), [16]byte{}),
+	}})
+	if st := cache.Stats(); st.Evictions != 1 {
+		t.Fatalf("evictions = %d, want 1", st.Evictions)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("evicted spill file %s: stat err %v, want not-exist", path, err)
+	}
+
+	got, err := io.ReadAll(f)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Errorf("descriptor opened before eviction read %d of %d bytes (%v)", len(got), len(want), err)
+	}
+
+	resp, err := http.Get(srv.client.Base + "/v1/jobs/" + job.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("trace after eviction: status %d, want 404", resp.StatusCode)
+	}
+	if e := decodeEnvelope(t, resp); e.Code != obs.CodeNotFound {
+		t.Errorf("trace after eviction: code %q, want %q", e.Code, obs.CodeNotFound)
+	}
+}
+
+// TestTraceServeOpenError: a spill-file open that fails for any
+// reason but a missing file is the server's fault, not an eviction.
+// A path that runs through a regular file fails with ENOTDIR, standing
+// in for EMFILE and the like, and must answer 500 internal.
+func TestTraceServeOpenError(t *testing.T) {
+	sched := newTestScheduler(t, SchedConfig{Workers: 1})
+	job, err := sched.Submit(quickJob(97))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, job)
+	art := job.Artifacts()
+	regular := filepath.Join(t.TempDir(), "regular")
+	if err := os.WriteFile(regular, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b := art.Traces[0]
+	art.Traces[0] = fileTraceBlob(b.Name, filepath.Join(regular, "blob.nmo2"), b.Size(), b.MD5)
+
+	srv := newTCPServer(t, sched)
+	resp, err := http.Get(srv.client.Base + "/v1/jobs/" + job.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("status %d, want 500", resp.StatusCode)
+	}
+	if e := decodeEnvelope(t, resp); e.Code != obs.CodeInternal {
+		t.Errorf("code %q, want %q", e.Code, obs.CodeInternal)
 	}
 }
