@@ -45,7 +45,6 @@ import (
 	"strings"
 
 	"nmo"
-	"nmo/internal/analysis"
 	"nmo/internal/engine"
 	"nmo/internal/experiments"
 	"nmo/internal/postproc"
@@ -417,25 +416,13 @@ func reportCollected(prof *nmo.Profile, base string) error {
 			prof.TraceTruncated)
 	}
 
-	t := &report.Table{Title: "Samples by region", Headers: []string{"region", "count"}}
-	byRegion := prof.Trace.CountByRegion()
-	for _, name := range report.SortedKeys(byRegion) {
-		t.AddRow(name, byRegion[name])
-	}
-	if err := t.Render(os.Stdout); err != nil {
+	sum, err := postproc.Summarize(postproc.From(prof.Trace), false)
+	if err != nil {
 		return err
 	}
-
-	// Cache-activity view from the SPE data-source packets.
-	var levels [4]uint64
-	for i, n := range analysis.LevelBreakdown(prof.Trace) {
-		levels[i] = uint64(n)
-	}
-	if err := report.LevelTable(os.Stdout, levels); err != nil {
+	if err := renderSummary(sum); err != nil {
 		return err
 	}
-	p50, p90, p99 := analysis.LatencyPercentiles(prof.Trace)
-	fmt.Printf("sampled latency percentiles: p50=%.0f p90=%.0f p99=%.0f cycles\n", p50, p90, p99)
 
 	f, err := os.Create(base + ".trace.csv")
 	if err != nil {
@@ -477,7 +464,18 @@ func reportStreamed(path string) error {
 	if err != nil {
 		return err
 	}
+	if err := renderSummary(sum); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s (%d samples, %d blocks; inspect with nmostat -trace)\n",
+		path, rd.TotalSamples(), rd.NumBlocks())
+	return nil
+}
 
+// renderSummary prints the sample tables both report paths share:
+// samples by region, samples by memory level (the SPE data-source
+// view) and the sampled latency percentiles.
+func renderSummary(sum *postproc.Summary) error {
 	t := &report.Table{Title: "Samples by region", Headers: []string{"region", "count"}}
 	for _, g := range sum.ByRegion.Groups() {
 		t.AddRow(g.Key, g.Count)
@@ -490,8 +488,6 @@ func reportStreamed(path string) error {
 	}
 	fmt.Printf("sampled latency percentiles: p50=%.0f p90=%.0f p99=%.0f cycles\n",
 		sum.Lat.Percentile(50), sum.Lat.Percentile(90), sum.Lat.Percentile(99))
-	fmt.Printf("wrote %s (%d samples, %d blocks; inspect with nmostat -trace)\n",
-		path, rd.TotalSamples(), rd.NumBlocks())
 	return nil
 }
 

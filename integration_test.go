@@ -223,3 +223,25 @@ func minF(xs []float64) float64 {
 	}
 	return m
 }
+
+// TestGoldenPEBSTraceChecksum pins the Ice Lake/PEBS path, which the
+// SPE golden above does not reach: x86 sampling records, 4 KB pages
+// and a 64-entry TLB.
+func TestGoldenPEBSTraceChecksum(t *testing.T) {
+	mach := nmo.NewMachine(nmo.IntelIceLakeSP().WithCores(8))
+	cfg := nmo.DefaultConfig()
+	cfg.Enable = true
+	cfg.Mode = nmo.ModeFull
+	cfg.Backend = nmo.BackendPEBS
+	cfg.Period = 1024
+	cfg.Seed = 42
+	p, err := nmo.Run(cfg, mach, nmo.NewCFD(nmo.CFDConfig{Elems: 20_000, Threads: 8, Iters: 2, Seed: 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("%x", p.MD5)
+	const want = "d13918ff63712bf2d41ecd0af09aa88a"
+	if got != want {
+		t.Errorf("PEBS trace MD5 = %s, want %s", got, want)
+	}
+}

@@ -9,8 +9,10 @@ import (
 
 // The paper's future work (§IX) plans to evaluate sampling bias when
 // the same event appears at different code positions and to trace
-// cache activities. This file implements both analyses so the
-// reproduction covers the announced extensions.
+// cache activities. This file implements the bias analysis; the
+// cache-activity view is the per-level sample count of
+// trace.LevelHist, which SPE data-source packets make free once
+// samples decode.
 
 // PCBias quantifies how unevenly samples distribute over program
 // counters against a reference distribution of the true per-PC
@@ -72,45 +74,4 @@ func PCHistogramOf(tr *trace.Trace) []PCCount {
 		return out[i].PC < out[j].PC
 	})
 	return out
-}
-
-// LevelBreakdown counts samples by the memory level that served them
-// (0=L1, 1=L2, 2=SLC, 3=DRAM) — the cache-activity tracing metric the
-// paper lists as future work. SPE data-source packets carry exactly
-// this information, so the breakdown is free once samples decode.
-func LevelBreakdown(tr *trace.Trace) [4]int {
-	var out [4]int
-	for i := range tr.Samples {
-		l := tr.Samples[i].Level
-		if l > 3 {
-			l = 3
-		}
-		out[l]++
-	}
-	return out
-}
-
-// MissRatioFromSamples estimates the fraction of sampled accesses
-// served beyond the private caches (SLC or DRAM) — a sampled proxy
-// for the L2 miss ratio.
-func MissRatioFromSamples(tr *trace.Trace) float64 {
-	if len(tr.Samples) == 0 {
-		return 0
-	}
-	lv := LevelBreakdown(tr)
-	return float64(lv[2]+lv[3]) / float64(len(tr.Samples))
-}
-
-// LatencyPercentiles returns the p50/p90/p99 of sampled access
-// latencies in cycles — the latency-distribution view used when
-// choosing SPE minimum-latency filters.
-func LatencyPercentiles(tr *trace.Trace) (p50, p90, p99 float64) {
-	if len(tr.Samples) == 0 {
-		return 0, 0, 0
-	}
-	lats := make([]float64, len(tr.Samples))
-	for i := range tr.Samples {
-		lats[i] = float64(tr.Samples[i].Lat)
-	}
-	return Percentile(lats, 50), Percentile(lats, 90), Percentile(lats, 99)
 }

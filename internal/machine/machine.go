@@ -64,8 +64,7 @@ type Machine struct {
 	spec  Spec
 	cores []*core
 	slc   *memsim.Cache
-	dram  *memsim.DRAM
-	numa  *memsim.NUMADomain // nil for single-node machines
+	numa  *memsim.NUMADomain // main memory
 
 	now      sim.Cycles
 	markerFn MarkerFunc
@@ -82,32 +81,30 @@ func New(spec Spec) *Machine {
 	m := &Machine{
 		spec: spec,
 		slc:  memsim.NewCache(spec.SLC),
-		dram: memsim.NewDRAM(spec.DRAM),
+		numa: memsim.NewNUMADomain(spec.NUMA, spec.DRAM),
 	}
-	if spec.NUMA.Nodes > 1 {
-		m.numa = memsim.NewNUMADomain(spec.NUMA, spec.DRAM)
-	}
+	nodes := len(m.numa.Nodes())
+	tlb := memsim.CacheConfig{SizeBytes: spec.TLBEntries * spec.PageBytes,
+		LineBytes: spec.PageBytes, Ways: spec.TLBEntries}
 	m.cores = make([]*core, spec.Cores)
 	for i := range m.cores {
 		h := &memsim.Hierarchy{
-			L1:   memsim.NewCache(spec.L1),
-			L2:   memsim.NewCache(spec.L2),
-			TLB:  memsim.NewTLB(spec.TLBEntries, spec.PageBytes),
-			SLC:  m.slc,
-			DRAM: m.dram,
-			Lat:  spec.Lat,
-		}
-		if m.numa != nil {
-			h.NUMA = m.numa
+			L1:  memsim.NewCache(spec.L1),
+			L2:  memsim.NewCache(spec.L2),
+			TLB: memsim.NewCache(tlb),
+			SLC: m.slc,
+			Mem: m.numa,
 			// Cores split evenly across sockets.
-			h.NodeID = i * spec.NUMA.Nodes / spec.Cores
+			NodeID: i * nodes / spec.Cores,
+			Lat:    spec.Lat,
 		}
 		m.cores[i] = &core{id: i, hier: h, buf: make([]isa.Op, 4096)}
 	}
 	return m
 }
 
-// NUMA returns the socket domain (nil on single-node machines).
+// NUMA returns the main-memory domain (never nil; one node unless
+// spec.NUMA configures more).
 func (m *Machine) NUMA() *memsim.NUMADomain { return m.numa }
 
 // Spec returns the platform description.
@@ -115,10 +112,6 @@ func (m *Machine) Spec() Spec { return m.spec }
 
 // Now returns the global (quantum-aligned) simulated time.
 func (m *Machine) Now() sim.Cycles { return m.now }
-
-// DRAM exposes the shared memory device (traffic counters feed the
-// bandwidth collector).
-func (m *Machine) DRAM() *memsim.DRAM { return m.dram }
 
 // RSS returns the current resident set size as reported by the
 // workload's alloc/free markers, and the high-water mark.
@@ -208,10 +201,7 @@ func (m *Machine) Run(streams []isa.Stream) (RunResult, error) {
 		}
 	}
 
-	res := RunResult{MaxRSS: m.maxRSS, DRAMBytes: m.dram.TotalBytes()}
-	if m.numa != nil {
-		res.DRAMBytes = m.numa.TotalBytes()
-	}
+	res := RunResult{MaxRSS: m.maxRSS, DRAMBytes: m.numa.TotalBytes()}
 	for i, s := range streams {
 		if s == nil {
 			continue
@@ -234,10 +224,7 @@ func (m *Machine) reset() {
 	m.now = 0
 	m.rss, m.maxRSS = 0, 0
 	m.slc.Reset()
-	m.dram.Reset()
-	if m.numa != nil {
-		m.numa.Reset()
-	}
+	m.numa.Reset()
 	for _, c := range m.cores {
 		c.hier.Reset()
 		c.cycles = 0

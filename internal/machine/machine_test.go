@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
 	"nmo/internal/isa"
@@ -417,5 +418,33 @@ func TestSpecForArch(t *testing.T) {
 	}
 	if SpecForArch("").Arch != isa.ArchARM64 {
 		t.Error("unknown arch must fall back to the ARM platform")
+	}
+}
+
+// TestNUMARunResultPinned pins a 2-node run bit for bit: the per-core
+// cycle counts, the memory traffic and the remote fraction depend on
+// each node's DRAM seed and on how cores map to nodes, which no trace
+// golden covers (every profiled platform is single-socket).
+func TestNUMARunResultPinned(t *testing.T) {
+	spec := smallSpec(4)
+	spec.NUMA = memsim.NUMAConfig{Nodes: 2, InterleaveBytes: 1 << 20, InterconnectLatency: 100}
+	m := New(spec)
+	streams := make([]isa.Stream, 4)
+	for i := range streams {
+		streams[i] = seqLoads(30000, uint64(i)*3<<20, 64)
+	}
+	res, err := m.Run(streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cycles []sim.Cycles
+	for _, c := range res.Cores {
+		cycles = append(cycles, c.Cycles)
+	}
+	got := fmt.Sprintf("cycles=%v dram=%d remote=%.6f", cycles, res.DRAMBytes,
+		m.NUMA().RemoteFraction())
+	const want = "cycles=[325597 337390 341432 331377] dram=7680000 remote=0.500000"
+	if got != want {
+		t.Errorf("2-node run = %q, want %q", got, want)
 	}
 }

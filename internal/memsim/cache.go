@@ -1,7 +1,8 @@
 // Package memsim implements the memory hierarchy of the simulated
 // machine: per-core L1d and L2 set-associative caches, a shared system
-// level cache (SLC), a per-core TLB, and a DRAM model with a shared
-// bandwidth budget.
+// level cache (SLC), a per-core TLB (a one-set Cache over pages), and
+// main memory as a NUMA domain of DRAM models, each with its own
+// bandwidth budget (one node on single-socket machines).
 //
 // The geometry defaults mirror Table II of the paper (Ampere Altra
 // Max: 64 KB L1d and 1 MB L2 per core, 16 MB SLC, DDR4 at 200 GB/s,
@@ -49,6 +50,9 @@ func (l Level) String() string {
 // only tags (no data), which is all a profiling study needs. The zero
 // value is not usable; construct with NewCache.
 //
+// A fully associative TLB is the one-set case: LineBytes is the page
+// size and Ways the entry count (see Hierarchy.TLB).
+//
 // The implementation is tuned for the inner loop: a lookup on a
 // 4–8 way cache is a handful of comparisons over a contiguous tag
 // slice, with 8-bit LRU ranks updated in place.
@@ -68,7 +72,7 @@ type Cache struct {
 type CacheConfig struct {
 	SizeBytes int // total capacity
 	LineBytes int // line size (power of two)
-	Ways      int // associativity
+	Ways      int // associativity, at most 255 (LRU ranks are 8-bit)
 }
 
 // NewCache constructs a cache. It panics on invalid geometry since
@@ -77,8 +81,8 @@ func NewCache(cfg CacheConfig) *Cache {
 	if cfg.LineBytes <= 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		panic("memsim: line size must be a positive power of two")
 	}
-	if cfg.Ways <= 0 {
-		panic("memsim: ways must be positive")
+	if cfg.Ways <= 0 || cfg.Ways > 255 {
+		panic("memsim: ways must be in [1,255]")
 	}
 	lines := cfg.SizeBytes / cfg.LineBytes
 	sets := lines / cfg.Ways

@@ -22,10 +22,12 @@ func TestCacheGeometry(t *testing.T) {
 
 func TestCacheInvalidGeometryPanics(t *testing.T) {
 	cases := []CacheConfig{
-		{SizeBytes: 64 << 10, LineBytes: 48, Ways: 4}, // non-pow2 line
-		{SizeBytes: 64 << 10, LineBytes: 64, Ways: 0}, // zero ways
-		{SizeBytes: 0, LineBytes: 64, Ways: 4},        // zero sets
-		{SizeBytes: 3 * 64, LineBytes: 64, Ways: 1},   // non-pow2 sets
+		{SizeBytes: 64 << 10, LineBytes: 48, Ways: 4},   // non-pow2 line
+		{SizeBytes: 64 << 10, LineBytes: 64, Ways: 0},   // zero ways
+		{SizeBytes: 0, LineBytes: 64, Ways: 4},          // zero sets
+		{SizeBytes: 3 * 64, LineBytes: 64, Ways: 1},     // non-pow2 sets
+		{SizeBytes: 256 * 64, LineBytes: 64, Ways: 256}, // above the 255-way bound
+		{SizeBytes: 300 * 64, LineBytes: 64, Ways: 300}, // 8-bit LRU ranks would wrap
 	}
 	for _, cfg := range cases {
 		func() {
@@ -36,6 +38,29 @@ func TestCacheInvalidGeometryPanics(t *testing.T) {
 			}()
 			NewCache(cfg)
 		}()
+	}
+}
+
+// TestCacheMaxWaysLRU: at the 255-way bound a fully associative cache
+// still evicts exactly the least recently used line.
+func TestCacheMaxWaysLRU(t *testing.T) {
+	const ways = 255
+	c := NewCache(CacheConfig{SizeBytes: ways * 64, LineBytes: 64, Ways: ways})
+	for i := uint64(0); i < ways; i++ {
+		c.Access(i * 64)
+	}
+	c.Access(0)         // line 1 is now LRU
+	c.Access(ways * 64) // evicts line 1
+	if c.Probe(64) {
+		t.Error("LRU line 1 survived eviction")
+	}
+	for i := uint64(2); i <= ways; i++ {
+		if !c.Probe(i * 64) {
+			t.Fatalf("line %d evicted instead of the LRU line", i)
+		}
+	}
+	if !c.Probe(0) {
+		t.Error("recently touched line 0 evicted")
 	}
 }
 
@@ -143,8 +168,17 @@ func TestCacheStatsConservationProperty(t *testing.T) {
 	}
 }
 
+// newTLB builds a fully associative TLB the way machine.New does: a
+// one-set Cache with one way per entry and page-sized lines.
+func newTLB(entries, pageBytes int) *Cache {
+	return NewCache(CacheConfig{SizeBytes: entries * pageBytes, LineBytes: pageBytes, Ways: entries})
+}
+
 func TestTLBHitMiss(t *testing.T) {
-	tlb := NewTLB(4, 64<<10)
+	tlb := newTLB(4, 64<<10)
+	if tlb.Sets() != 1 || tlb.Ways() != 4 {
+		t.Fatalf("geometry = %d sets x %d ways, want 1 x 4", tlb.Sets(), tlb.Ways())
+	}
 	if tlb.Access(0) {
 		t.Fatal("cold TLB hit")
 	}
@@ -161,7 +195,7 @@ func TestTLBHitMiss(t *testing.T) {
 }
 
 func TestTLBLRU(t *testing.T) {
-	tlb := NewTLB(2, 64<<10)
+	tlb := newTLB(2, 64<<10)
 	page := func(i uint64) uint64 { return i << 16 }
 	tlb.Access(page(0))
 	tlb.Access(page(1))
@@ -347,7 +381,7 @@ func TestHierarchyStreamBypassesCaches(t *testing.T) {
 	if h.L1.Probe(0) {
 		t.Error("Stream polluted L1")
 	}
-	_, w := h.DRAM.Traffic()
+	_, w := h.Mem.Nodes()[0].Traffic()
 	if w != 1<<20 {
 		t.Errorf("DRAM write traffic = %d, want %d", w, 1<<20)
 	}
@@ -381,11 +415,11 @@ func TestHierarchyReset(t *testing.T) {
 
 func newTestHierarchy() *Hierarchy {
 	return &Hierarchy{
-		L1:   NewCache(CacheConfig{SizeBytes: 64 << 10, LineBytes: 64, Ways: 4}),
-		L2:   NewCache(CacheConfig{SizeBytes: 1 << 20, LineBytes: 64, Ways: 8}),
-		TLB:  NewTLB(48, 64<<10),
-		SLC:  NewCache(CacheConfig{SizeBytes: 16 << 20, LineBytes: 64, Ways: 16}),
-		DRAM: NewDRAM(DRAMConfig{BaseLatency: 150, PeakBytesPerCycle: 66, TailProb: -1}),
-		Lat:  DefaultLatencies(),
+		L1:  NewCache(CacheConfig{SizeBytes: 64 << 10, LineBytes: 64, Ways: 4}),
+		L2:  NewCache(CacheConfig{SizeBytes: 1 << 20, LineBytes: 64, Ways: 8}),
+		TLB: newTLB(48, 64<<10),
+		SLC: NewCache(CacheConfig{SizeBytes: 16 << 20, LineBytes: 64, Ways: 16}),
+		Mem: NewNUMADomain(NUMAConfig{}, DRAMConfig{BaseLatency: 150, PeakBytesPerCycle: 66, TailProb: -1}),
+		Lat: DefaultLatencies(),
 	}
 }

@@ -3,21 +3,26 @@ package memsim
 import "nmo/internal/sim"
 
 // Hierarchy bundles one core's private caches and TLB with the shared
-// SLC and DRAM, and computes the (level, latency) outcome of a memory
-// access. One Hierarchy exists per core; SLC and DRAM are shared
-// across all of them (the machine runs cores round-robin within a
-// quantum, so no locking is needed).
+// SLC and memory, and computes the (level, latency) outcome of a
+// memory access. One Hierarchy exists per core; SLC and memory are
+// shared across all of them (the machine runs cores round-robin within
+// a quantum, so no locking is needed).
 type Hierarchy struct {
-	L1  *Cache
-	L2  *Cache
-	TLB *TLB
+	L1 *Cache
+	L2 *Cache
+	// TLB is the fully associative data TLB: a one-set Cache whose
+	// lines are pages and whose ways are entries. A miss adds a
+	// translation latency that the SPE unit reports in the
+	// translation-latency counter packet (0x9a). Irregular workloads
+	// (CFD gathers, BFS frontier hops) take many more TLB misses than
+	// streaming ones, which widens their latency distribution — one of
+	// the effects behind the per-workload collision differences in
+	// Fig. 8c.
+	TLB *Cache
 
-	SLC  *Cache // shared; may be nil in reduced configurations
-	DRAM *DRAM  // shared; ignored when NUMA is set
-
-	// NUMA, when non-nil, routes memory through a multi-socket domain
-	// instead of DRAM; NodeID is the socket this core belongs to.
-	NUMA   *NUMADomain
+	SLC *Cache      // shared
+	Mem *NUMADomain // shared; one node on single-socket machines
+	// NodeID is the socket this core belongs to.
 	NodeID int
 
 	Lat Latencies
@@ -64,7 +69,7 @@ type AccessResult struct {
 // line-crossing rate of the workloads here is negligible).
 func (h *Hierarchy) Access(now sim.Cycles, addr uint64, size uint32, write bool) AccessResult {
 	var res AccessResult
-	if h.TLB != nil && !h.TLB.Access(addr) {
+	if !h.TLB.Access(addr) {
 		res.TLBMiss = true
 		res.Latency += h.Lat.TLBMiss
 	}
@@ -75,7 +80,7 @@ func (h *Hierarchy) Access(now sim.Cycles, addr uint64, size uint32, write bool)
 	case h.L2.Access(addr):
 		res.Level = LevelL2
 		res.Latency += h.Lat.L2
-	case h.SLC != nil && h.SLC.Access(addr):
+	case h.SLC.Access(addr):
 		res.Level = LevelSLC
 		res.Latency += h.Lat.SLC
 	default:
@@ -85,11 +90,7 @@ func (h *Hierarchy) Access(now sim.Cycles, addr uint64, size uint32, write bool)
 			line = size
 		}
 		var r DRAMResult
-		if h.NUMA != nil {
-			r, res.Remote = h.NUMA.Access(now, h.NodeID, addr, line, write)
-		} else {
-			r = h.DRAM.Access(now, line, write)
-		}
+		r, res.Remote = h.Mem.Access(now, h.NodeID, addr, line, write)
 		res.Latency += h.Lat.SLC + r.Latency
 		res.WaitCycles = r.WaitCycles
 		res.StallCycles = r.StallCycles
@@ -110,12 +111,7 @@ func (h *Hierarchy) RemoteCount() uint64 { return h.remote }
 // phase-level CloudSuite workloads). It consumes DRAM bandwidth and
 // returns the transfer latency.
 func (h *Hierarchy) Stream(now sim.Cycles, size uint32, write bool) AccessResult {
-	var r DRAMResult
-	if h.NUMA != nil {
-		r, _ = h.NUMA.Access(now, h.NodeID, 0, size, write)
-	} else {
-		r = h.DRAM.Access(now, size, write)
-	}
+	r, _ := h.Mem.Access(now, h.NodeID, 0, size, write)
 	h.levelCounts[LevelDRAM]++
 	return AccessResult{Level: LevelDRAM, Latency: r.Latency,
 		WaitCycles: r.WaitCycles, StallCycles: r.StallCycles}
@@ -125,13 +121,12 @@ func (h *Hierarchy) Stream(now sim.Cycles, size uint32, write bool) AccessResult
 func (h *Hierarchy) LevelCounts() [NumLevels]uint64 { return h.levelCounts }
 
 // Reset clears the private structures and level counters. Shared
-// structures (SLC, DRAM) are left untouched; the machine resets those.
+// structures (SLC, memory) are left untouched; the machine resets
+// those.
 func (h *Hierarchy) Reset() {
 	h.L1.Reset()
 	h.L2.Reset()
-	if h.TLB != nil {
-		h.TLB.Reset()
-	}
+	h.TLB.Reset()
 	h.levelCounts = [NumLevels]uint64{}
 	h.remote = 0
 }

@@ -4,11 +4,11 @@ import "nmo/internal/sim"
 
 // NUMA support — the paper's introduction lists remote NUMA accesses
 // among the bottlenecks memory-centric profiling exists to find, and
-// SPE's events packet carries a remote-access bit. The simulated
-// machine can be configured as two sockets: each socket owns a DRAM
-// device, physical addresses are home-assigned by address-interleaved
-// ranges, and a remote access pays an interconnect latency on top of
-// the home node's queue.
+// SPE's events packet carries a remote-access bit. Main memory is
+// always a NUMA domain: one node on single-socket machines, or two
+// sockets, where each socket owns a DRAM device, physical addresses
+// are home-assigned by address-interleaved ranges, and a remote access
+// pays an interconnect latency on top of the home node's queue.
 
 // NUMAConfig describes a two-socket topology.
 type NUMAConfig struct {
@@ -51,13 +51,16 @@ type NUMADomain struct {
 
 // NewNUMADomain builds the domain; each node gets its own DRAM with
 // the given per-node config (peak bandwidth is per node, matching a
-// socket-local memory controller).
+// socket-local memory controller). A single node uses dram as given;
+// multiple nodes get distinct tail seeds.
 func NewNUMADomain(cfg NUMAConfig, dram DRAMConfig) *NUMADomain {
 	cfg = cfg.withDefaults()
 	d := &NUMADomain{cfg: cfg}
 	for i := 0; i < cfg.Nodes; i++ {
 		nodeCfg := dram
-		nodeCfg.Seed = dram.Seed + uint64(i)*977 + 1
+		if cfg.Nodes > 1 {
+			nodeCfg.Seed = dram.Seed + uint64(i)*977 + 1
+		}
 		d.nodes = append(d.nodes, NewDRAM(nodeCfg))
 	}
 	return d

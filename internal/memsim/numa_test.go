@@ -90,3 +90,18 @@ func TestNUMADefaults(t *testing.T) {
 		t.Errorf("default nodes = %d, want 1", len(d1.Nodes()))
 	}
 }
+
+// A one-node domain is the single-socket machine's memory: its device
+// must draw the same latency stream as a DRAM built from the same
+// config, or every single-socket output would shift.
+func TestNUMASingleNodeMatchesDRAM(t *testing.T) {
+	cfg := DRAMConfig{BaseLatency: 150, PeakBytesPerCycle: 1, Seed: 3}
+	d := NewNUMADomain(NUMAConfig{}, cfg)
+	ref := NewDRAM(cfg)
+	for i := 0; i < 2000; i++ {
+		got, _ := d.Access(0, 0, uint64(i)*64, 64, false)
+		if want := ref.Access(0, 64, false); got != want {
+			t.Fatalf("access %d: domain %+v, DRAM %+v", i, got, want)
+		}
+	}
+}

@@ -189,3 +189,49 @@ func TestLatHistPercentiles(t *testing.T) {
 		t.Error("empty percentile not 0")
 	}
 }
+
+// TestSummarizeInMemoryTrace: the digest nmoprof renders for an
+// in-memory trace clamps data-source levels above DRAM into the DRAM
+// bucket and reports nearest-rank percentiles.
+func TestSummarizeInMemoryTrace(t *testing.T) {
+	tr := &trace.Trace{}
+	for _, lv := range []uint8{0, 0, 1, 3, 9} {
+		tr.Samples = append(tr.Samples, trace.Sample{Level: lv})
+	}
+	sum, err := Summarize(From(tr), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Levels.By != [4]uint64{2, 1, 0, 2} {
+		t.Errorf("levels = %v, want [2 1 0 2]", sum.Levels.By)
+	}
+
+	tr = &trace.Trace{}
+	for i := 1; i <= 100; i++ {
+		tr.Samples = append(tr.Samples, trace.Sample{Lat: uint16(i)})
+	}
+	if sum, err = Summarize(From(tr), false); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []float64{50, 90, 99} {
+		if got := sum.Lat.Percentile(p); got != p {
+			t.Errorf("p%v = %v", p, got)
+		}
+	}
+}
+
+// TestSummarizeEmptyTrace: an empty trace (a run with profiling
+// disabled) renders zero counts and zero percentiles.
+func TestSummarizeEmptyTrace(t *testing.T) {
+	sum, err := Summarize(From(&trace.Trace{}), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Count != 0 || sum.Levels.By != [4]uint64{} || len(sum.ByRegion.Groups()) != 0 {
+		t.Errorf("empty summary = count %d, levels %v, regions %v",
+			sum.Count, sum.Levels.By, sum.ByRegion.Groups())
+	}
+	if a, b, c := sum.Lat.Percentile(50), sum.Lat.Percentile(90), sum.Lat.Percentile(99); a+b+c != 0 {
+		t.Error("empty percentiles not 0")
+	}
+}

@@ -198,7 +198,8 @@ func (c *CountHist) Counts() map[string]int {
 }
 
 // LevelHist counts samples per memory level (0=L1 … 3=DRAM; deeper
-// levels clamp to DRAM, as in analysis.LevelBreakdown).
+// levels clamp to DRAM) — the cache-activity view SPE data-source
+// packets provide. postproc.LevelAgg wraps it for trace scans.
 type LevelHist struct {
 	By [4]uint64
 }
