@@ -15,10 +15,9 @@
 //	curl -s localhost:8077/v1/jobs/<id>
 //	curl -s localhost:8077/v1/jobs/<id>/trace -o run.nmo2
 //
-// Admission control: -workers bounds concurrently running jobs,
-// -queue bounds the waiting line (429 beyond it), and -backend-slots
-// caps how many running jobs may occupy one sampling backend, so a
-// flood of SPE sweeps cannot starve PEBS work (and vice versa).
+// Admission control: -workers bounds concurrently running jobs and
+// -queue bounds the waiting line (429 beyond it); queued jobs are
+// drained by per-tenant weighted fair share (-tenant-quotas).
 // Identical jobs — same canonical config, machine spec and workload
 // shape — are answered from the cache without re-simulating; the
 // simulator's determinism makes the cached bytes exactly what a fresh
@@ -44,7 +43,6 @@ import (
 
 	"nmo/internal/auth"
 	"nmo/internal/obs"
-	"nmo/internal/sampler"
 	"nmo/internal/service"
 )
 
@@ -57,7 +55,6 @@ func main() {
 		"cache spill directory; restart-surviving disk tier (default $NMO_CACHE_DIR; empty = memory-only)")
 	cacheMemMiB := flag.Int("cache-mem-mib", 256, "in-memory cache tier budget, MiB")
 	cacheDiskMiB := flag.Int("cache-disk-mib", 4096, "on-disk cache tier budget, MiB (needs -cache-dir)")
-	backendSlots := flag.Int("backend-slots", 0, "max running jobs per sampling backend (0 = unlimited)")
 	auditLog := flag.String("audit-log", os.Getenv("NMO_AUDIT_LOG"),
 		"append-only JSONL audit file: one event per HTTP request and job transition (default $NMO_AUDIT_LOG; empty = off)")
 	debugAddr := flag.String("debug-addr", "",
@@ -80,13 +77,13 @@ func main() {
 		MemBudget:  int64(*cacheMemMiB) << 20,
 		DiskBudget: int64(*cacheDiskMiB) << 20,
 	}
-	if err := run(*addr, *workers, *queueCap, *engineJobs, *backendSlots, ccfg, acfg, *auditLog, *debugAddr); err != nil {
+	if err := run(*addr, *workers, *queueCap, *engineJobs, ccfg, acfg, *auditLog, *debugAddr); err != nil {
 		fmt.Fprintln(os.Stderr, "nmod:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, workers, queueCap, engineJobs, backendSlots int, ccfg service.CacheConfig, acfg auth.Config, auditLog, debugAddr string) error {
+func run(addr string, workers, queueCap, engineJobs int, ccfg service.CacheConfig, acfg auth.Config, auditLog, debugAddr string) error {
 	var audit *obs.AuditLog
 	if auditLog != "" {
 		var err error
@@ -108,12 +105,6 @@ func run(addr string, workers, queueCap, engineJobs, backendSlots int, ccfg serv
 		EngineJobs: engineJobs,
 		Metrics:    service.NewMetrics(audit),
 		Quotas:     acfg.Quotas,
-	}
-	if backendSlots > 0 {
-		cfg.BackendSlots = map[sampler.Kind]int{}
-		for _, k := range sampler.Kinds() {
-			cfg.BackendSlots[k] = backendSlots
-		}
 	}
 	cache, err := service.NewCache(ccfg)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"nmo/internal/core"
 	"nmo/internal/machine"
@@ -28,7 +27,6 @@ type resolved struct {
 	mach machine.Spec // platform the scenario runs on
 	cfg  core.Config  // resolved profiler configuration
 	key  string       // scenario content-address (hex)
-	kind sampler.Kind // resolved backend (admission-control resource)
 }
 
 // Sanity bounds on workload shapes: generous enough for any paper-
@@ -163,7 +161,6 @@ func resolveScenario(sp ScenarioSpec, index int) (resolved, error) {
 		mach: spec,
 		cfg:  cfg,
 		key:  scenarioKey(sp, spec, cfg),
-		kind: cfg.Backend,
 	}, nil
 }
 
@@ -250,42 +247,3 @@ func resolveJob(spec JobSpec) ([]resolved, string, error) {
 // maxScenarios bounds one job's grid; sweeps larger than this should
 // be split into jobs so the queue stays responsive.
 const maxScenarios = 256
-
-// backends returns the distinct backend kinds a job's scenarios
-// occupy, in first-appearance order — the resources its admission is
-// checked against.
-func backends(rs []resolved) []sampler.Kind {
-	var out []sampler.Kind
-	for i := range rs {
-		k := rs[i].kind
-		found := false
-		for _, o := range out {
-			if o == k {
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-// parseBackendList parses a comma-separated backend list ("spe,pebs")
-// for the daemon's admission-control flags.
-func parseBackendList(s string) ([]sampler.Kind, error) {
-	var out []sampler.Kind
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, err := sampler.ParseKind(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, k)
-	}
-	return out, nil
-}

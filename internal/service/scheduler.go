@@ -17,7 +17,6 @@ import (
 	"nmo/internal/obs"
 	"nmo/internal/postproc"
 	"nmo/internal/report"
-	"nmo/internal/sampler"
 	"nmo/internal/trace"
 )
 
@@ -33,13 +32,6 @@ type SchedConfig struct {
 	// oversubscribe the host; results are bit-identical at any
 	// value).
 	EngineJobs int
-	// BackendSlots caps concurrently *running* jobs per sampling
-	// backend: a job occupies one slot on every backend its scenarios
-	// resolve to, and a worker never starts a job whose backends are
-	// saturated — it picks the next admissible job instead (the
-	// conflict-constrained selection of the queue). nil or a missing
-	// kind means unlimited.
-	BackendSlots map[sampler.Kind]int
 	// MaxJobs bounds retained job records (<= 0: 1024). Terminal jobs
 	// beyond the bound are forgotten oldest-first — their IDs then
 	// 404, but the *results* stay addressable: an identical
@@ -85,8 +77,8 @@ type Job struct {
 	quotaReleased bool
 
 	rs    []resolved
-	kinds []sampler.Kind // distinct backends (admission resources)
-	entry *entry         // cache slot this job serves from / fills
+	entry *entry        // cache slot this job serves from / fills
+	done  chan struct{} // closed by the terminal transition (finishLocked)
 
 	enqueued time.Time // leader enqueue instant (queue-wait phase)
 
@@ -137,18 +129,29 @@ func (j *Job) Artifacts() *JobArtifacts {
 	return j.art
 }
 
-// Done returns the cache entry's completion channel — closed when the
-// job's key has an outcome (fill or abort).
-func (j *Job) Done() <-chan struct{} { return j.entry.done }
+// Done returns a channel closed when the job reaches its terminal
+// state: Info and Artifacts read after it closes see the final state.
+func (j *Job) Done() <-chan struct{} { return j.done }
 
 // finish moves the job to a terminal state. The audit line is written
 // after the lock is released — the sink serializes on its own mutex
 // and must not nest inside j.mu.
 func (j *Job) finish(art *JobArtifacts, err error) {
 	j.mu.Lock()
+	ok := j.finishLocked(art, err)
+	state, errMsg := string(j.state), j.errMsg
+	j.mu.Unlock()
+	if ok {
+		j.auditState(state, errMsg)
+	}
+}
+
+// finishLocked is the job's one terminal transition: it sets the final
+// state and artifacts, then closes done. It reports false when the job
+// was already terminal. Callers hold j.mu.
+func (j *Job) finishLocked(art *JobArtifacts, err error) bool {
 	if j.state.Terminal() {
-		j.mu.Unlock()
-		return
+		return false
 	}
 	j.cancel = nil
 	if err != nil {
@@ -163,18 +166,15 @@ func (j *Job) finish(art *JobArtifacts, err error) {
 		j.state = StateDone
 		j.art = art
 	}
-	state, errMsg := string(j.state), j.errMsg
-	j.mu.Unlock()
-	j.auditState(state, errMsg)
+	close(j.done)
+	return true
 }
 
 // Scheduler admits, queues, and executes jobs on a bounded worker
 // pool. Submission performs cache admission (hit, coalesce, or
 // enqueue-as-leader) plus tenant quota admission; workers drain
-// per-tenant queues by weighted deficit round robin, and within the
-// chosen tenant pick the highest-priority *admissible* job — one whose
-// backends all have a free slot — so a saturated backend never blocks
-// jobs that only need the other one.
+// per-tenant queues by weighted deficit round robin, taking the chosen
+// tenant's head job (priority desc, seq asc).
 type Scheduler struct {
 	cfg   SchedConfig
 	cache *Cache
@@ -192,7 +192,6 @@ type Scheduler struct {
 	runningT map[string]int // running leader jobs per tenant (stats)
 	jobs     map[string]*Job
 	order    []*Job // submission order (job-record pruning)
-	running  map[sampler.Kind]int
 	nRun     int
 	closed   bool
 	seq      uint64
@@ -230,7 +229,7 @@ func NewScheduler(cfg SchedConfig, cache *Cache) *Scheduler {
 		tqs:      make(map[string]*tenantQueue),
 		inflight: make(map[string]int),
 		runningT: make(map[string]int),
-		jobs:     make(map[string]*Job), running: make(map[sampler.Kind]int)}
+		jobs:     make(map[string]*Job)}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.cond = sync.NewCond(&s.mu)
 	s.registerGauges()
@@ -348,13 +347,7 @@ func (s *Scheduler) tenantStats() []TenantStat {
 // already terminal for cache hits; coalesced and queued jobs complete
 // asynchronously (watch Done / poll Info).
 func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
-	return s.SubmitReq(spec, "")
-}
-
-// SubmitReq is Submit carrying the request ID of the admitting HTTP
-// request, running as the default tenant.
-func (s *Scheduler) SubmitReq(spec JobSpec, reqID string) (*Job, error) {
-	return s.SubmitTenant(spec, reqID, auth.DefaultTenant)
+	return s.SubmitTenant(spec, "", auth.DefaultTenant)
 }
 
 // SubmitTenant is the full submission path: request ID stamped on the
@@ -375,7 +368,7 @@ func (s *Scheduler) SubmitTenant(spec JobSpec, reqID, tenant string) (*Job, erro
 	job := &Job{
 		ID: newID(), Key: key, Tenant: tenant, Priority: spec.Priority,
 		reqID: reqID, audit: s.m.Audit,
-		rs: rs, kinds: backends(rs), state: StateQueued,
+		rs: rs, state: StateQueued, done: make(chan struct{}),
 	}
 
 	s.mu.Lock()
@@ -605,8 +598,7 @@ func (s *Scheduler) Cancel(id string) error {
 		// Not queued, not yet running: a coalesced follower (its
 		// leader keeps running for everyone else) or a leader in the
 		// pop-to-run window.
-		j.state = StateCanceled
-		j.errMsg = ErrCanceled.Error()
+		j.finishLocked(nil, ErrCanceled)
 		j.mu.Unlock()
 		j.auditState(string(StateCanceled), ErrCanceled.Error())
 		return nil
@@ -650,69 +642,34 @@ func (s *Scheduler) Close() {
 }
 
 // popLocked removes and returns the next job under weighted deficit
-// round robin across tenants, or nil when nothing is admissible.
+// round robin across tenants, or nil when nothing is queued.
 //
-// The front of the active rotation owns the turn. Entering a turn with
-// no credit replenishes it to the tenant's weight; each popped job
-// costs one credit (unit job cost — jobs are comparable engine
-// batches), and the tenant keeps the front until its credit or its
-// queue runs out, then rotates to the back. Under saturation that
-// yields exact weight ratios (3:1 → A,A,A,B repeating). A tenant whose
-// queued jobs are all inadmissible (saturated backends) passes its
-// turn without burning credit, so backend conflicts never tax a
-// tenant's share. With a single tenant the whole mechanism reduces to
-// the pre-multi-tenant scan: first admissible job in (priority desc,
-// seq asc) order — bit-identical scheduling.
-//
-// Within the chosen tenant, admissibility and ordering are unchanged:
-// every backend the job occupies must have a free slot, and the
-// priority-ordered scan returns the first fit (no head-of-line
-// blocking across backends; FIFO within one backend's contenders).
+// The front of the active rotation owns the turn and pops its head job
+// (priority desc, seq asc). Entering a turn with no credit replenishes
+// it to the tenant's weight; each popped job costs one credit (unit job
+// cost — jobs are comparable engine batches), and the tenant keeps the
+// front until its credit or its queue runs out, then rotates to the
+// back. Under saturation that yields exact weight ratios (3:1 →
+// A,A,A,B repeating). With a single tenant this is the plain
+// (priority desc, seq asc) queue order.
 func (s *Scheduler) popLocked() *Job {
-	for visited := 0; visited < len(s.active); {
-		tq := s.active[0]
-		if tq.credit <= 0 {
-			tq.credit = tq.weight
-		}
-		if j := s.popTenantLocked(tq); j != nil {
-			tq.credit--
-			if len(tq.jobs) == 0 {
-				s.deactivateLocked(tq)
-			} else if tq.credit == 0 {
-				s.active = append(s.active[1:], tq)
-			}
-			return j
-		}
-		// Nothing admissible for this tenant right now: pass the turn,
-		// keep the credit for when its backends free up.
+	if len(s.active) == 0 {
+		return nil
+	}
+	tq := s.active[0]
+	if tq.credit <= 0 {
+		tq.credit = tq.weight
+	}
+	j := tq.jobs[0]
+	tq.jobs = append(tq.jobs[:0], tq.jobs[1:]...)
+	s.nQueued--
+	tq.credit--
+	if len(tq.jobs) == 0 {
+		s.deactivateLocked(tq)
+	} else if tq.credit == 0 {
 		s.active = append(s.active[1:], tq)
-		visited++
 	}
-	return nil
-}
-
-// popTenantLocked removes the tenant's best admissible job, or nil.
-func (s *Scheduler) popTenantLocked(tq *tenantQueue) *Job {
-	for i, j := range tq.jobs {
-		if s.admissibleLocked(j) {
-			tq.jobs = append(tq.jobs[:i], tq.jobs[i+1:]...)
-			s.nQueued--
-			return j
-		}
-	}
-	return nil
-}
-
-func (s *Scheduler) admissibleLocked(j *Job) bool {
-	if s.cfg.BackendSlots == nil {
-		return true
-	}
-	for _, k := range j.kinds {
-		if lim, ok := s.cfg.BackendSlots[k]; ok && lim > 0 && s.running[k] >= lim {
-			return false
-		}
-	}
-	return true
+	return j
 }
 
 // releaseQuotaLocked returns a leader job's in-flight quota unit.
@@ -728,8 +685,8 @@ func (s *Scheduler) releaseQuotaLocked(j *Job) {
 	}
 }
 
-// worker is the scheduler loop: pick an admissible job, reserve its
-// backend slots, run it, release, repeat.
+// worker is the scheduler loop: pop a job, run it, release its
+// occupancy and quota, repeat.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	for {
@@ -745,9 +702,6 @@ func (s *Scheduler) worker() {
 			s.mu.Unlock()
 			return
 		}
-		for _, k := range job.kinds {
-			s.running[k]++
-		}
 		s.nRun++
 		s.runningT[job.Tenant]++
 		s.mu.Unlock()
@@ -755,16 +709,11 @@ func (s *Scheduler) worker() {
 		s.runJob(job)
 
 		s.mu.Lock()
-		for _, k := range job.kinds {
-			s.running[k]--
-		}
 		s.nRun--
 		if s.runningT[job.Tenant]--; s.runningT[job.Tenant] <= 0 {
 			delete(s.runningT, job.Tenant)
 		}
 		s.releaseQuotaLocked(job)
-		// A slot freed: jobs previously inadmissible may fit now.
-		s.cond.Broadcast()
 		s.mu.Unlock()
 	}
 }

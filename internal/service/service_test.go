@@ -10,7 +10,6 @@ import (
 	"nmo/internal/core"
 	"nmo/internal/engine"
 	"nmo/internal/machine"
-	"nmo/internal/sampler"
 	"nmo/internal/trace"
 	"nmo/internal/workloads"
 )
@@ -49,20 +48,7 @@ func waitDone(t testing.TB, j *Job) JobInfo {
 	case <-time.After(60 * time.Second):
 		t.Fatalf("job %s did not finish", j.ID)
 	}
-	// Done() closes when the cache entry resolves; finish runs in the
-	// same goroutine for leaders but asynchronously for coalesced
-	// followers — poll the (tiny) remainder.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		info := j.Info()
-		if info.State.Terminal() {
-			return info
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in %s after entry resolution", j.ID, info.State)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	return j.Info()
 }
 
 // blobBytes materializes a blob for comparison (reading its spill
@@ -186,6 +172,57 @@ func TestCachedEqualsFresh(t *testing.T) {
 	}
 	if !bytes.Equal(blobBytes(t, j2.Artifacts().Traces[0]), blobBytes(t, j3.Artifacts().Traces[0])) {
 		t.Error("cached trace bytes differ from a fresh run's")
+	}
+}
+
+// TestDoneClosesAtTerminalState: a job's Done channel is the job's own
+// completion, not its cache entry's. A coalesced follower whose shared
+// entry is filled but whose terminal transition has not run yet must
+// still have Done open, so a caller woken by Done always reads the
+// final state and artifacts.
+func TestDoneClosesAtTerminalState(t *testing.T) {
+	s := newTestScheduler(t, SchedConfig{Workers: 1})
+	var follower *Job
+	for seed := uint64(60); seed < 63 && follower == nil; seed++ {
+		long := quickSpec(seed)
+		long.Elems = 400_000
+		spec := JobSpec{Scenarios: []ScenarioSpec{long}}
+		if _, err := s.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+		j, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !j.Info().State.Terminal() { // coalesced, not a cache hit
+			follower = j
+		}
+	}
+	if follower == nil {
+		t.Fatal("no submission coalesced onto an in-flight leader")
+	}
+
+	// Holding the follower's lock keeps its terminal transition from
+	// running after the leader fills the shared entry.
+	follower.mu.Lock()
+	select {
+	case <-follower.entry.done:
+	case <-time.After(60 * time.Second):
+		follower.mu.Unlock()
+		t.Fatal("leader did not fill the entry")
+	}
+	select {
+	case <-follower.Done():
+		st := follower.state
+		follower.mu.Unlock()
+		t.Fatalf("Done closed while the job is %s", st)
+	default:
+	}
+	follower.mu.Unlock()
+
+	info := waitDone(t, follower)
+	if info.State != StateDone || follower.Artifacts() == nil {
+		t.Fatalf("after Done: state %s, artifacts %v", info.State, follower.Artifacts())
 	}
 }
 
@@ -354,71 +391,6 @@ func TestQueueCapRejects(t *testing.T) {
 	st := s.Stats()
 	if st.Rejected == 0 {
 		t.Error("rejection not counted")
-	}
-}
-
-// waitState polls until the job reaches the state (or any terminal
-// one) and reports whether it was observed.
-func waitState(j *Job, want JobState, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		st := j.Info().State
-		if st == want {
-			return true
-		}
-		if st.Terminal() {
-			return false
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return false
-}
-
-// TestBackendSlotsAdmission: a saturated backend queues its
-// contenders, but jobs on the other backend are admitted past them —
-// the conflict-constrained pop.
-func TestBackendSlotsAdmission(t *testing.T) {
-	s := newTestScheduler(t, SchedConfig{
-		Workers:      2,
-		BackendSlots: map[sampler.Kind]int{sampler.KindSPE: 1, sampler.KindPEBS: 1},
-	})
-
-	// A long SPE job saturates the single SPE slot.
-	long := quickSpec(30)
-	long.Elems = 400_000
-	head, err := s.Submit(JobSpec{Scenarios: []ScenarioSpec{long}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !waitState(head, StateRunning, 30*time.Second) {
-		t.Fatalf("head job never ran (state %s)", head.Info().State)
-	}
-
-	spe2, err := s.Submit(quickJob(31)) // SPE: must wait for the slot
-	if err != nil {
-		t.Fatal(err)
-	}
-	pebs := quickSpec(32)
-	pebs.Backend = "pebs"
-	jp, err := s.Submit(JobSpec{Scenarios: []ScenarioSpec{pebs}})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The PEBS job is admitted past the queued SPE contender (a free
-	// worker exists, and its backend has a free slot).
-	if info := waitDone(t, jp); info.State != StateDone {
-		t.Fatalf("pebs job: %s (%s)", info.State, info.Error)
-	}
-	if head.Info().State == StateRunning {
-		if st := spe2.Info().State; st != StateQueued {
-			t.Errorf("second SPE job is %s while the SPE slot is saturated, want queued", st)
-		}
-	}
-	// Drain: once the head releases the slot, the queued SPE job runs.
-	waitDone(t, head)
-	if info := waitDone(t, spe2); info.State != StateDone {
-		t.Fatalf("queued SPE job: %s (%s)", info.State, info.Error)
 	}
 }
 

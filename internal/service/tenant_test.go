@@ -76,9 +76,9 @@ func TestDRRFairShareOrder(t *testing.T) {
 }
 
 // TestDRRSingleTenantOrderUnchanged: with one tenant the DRR machinery
-// must degenerate to the pre-multi-tenant policy — first admissible
-// job in (priority desc, seq asc) order — so single-tenant scheduling
-// is bit-identical to the old scheduler.
+// must degenerate to the pre-multi-tenant policy — the head job in
+// (priority desc, seq asc) order — so single-tenant scheduling is
+// bit-identical to the old scheduler.
 func TestDRRSingleTenantOrderUnchanged(t *testing.T) {
 	s := newTestScheduler(t, SchedConfig{Workers: 1})
 	s.mu.Lock()

@@ -7,11 +7,8 @@
 // Three pieces compose the subsystem:
 //
 //   - A bounded-worker Scheduler with FIFO-within-priority queueing
-//     and per-backend admission control: jobs whose scenarios contend
-//     for the same simulated backend (SPE on the Altra model, PEBS on
-//     the Ice Lake model) occupy that backend's slots, a
-//     conflict-constrained selection in the spirit of the
-//     conflict-pair literature (PAPERS.md).
+//     per tenant, drained by weighted deficit round robin across
+//     tenants.
 //   - A content-addressed, single-flight result Cache keyed by the
 //     canonical hash of each scenario's resolved core.Config +
 //     machine.Spec + workload shape. Runs are deterministic (jobs=1
