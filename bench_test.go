@@ -418,6 +418,29 @@ func BenchmarkCacheAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkTLBAccess cycles a 48-entry one-set TLB over 32 resident
+// pages: consecutive accesses differ, so every one is a hit that takes
+// the full lookup (the path BenchmarkCacheAccess, all misses, skips).
+func BenchmarkTLBAccess(b *testing.B) {
+	const page = 64 << 10
+	c := memsim.NewCache(memsim.CacheConfig{SizeBytes: 48 * page, LineBytes: page, Ways: 48})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.Access(uint64(i%32) * page)
+	}
+}
+
+// BenchmarkCacheAccessHit walks an L1 geometry over a resident working
+// set of half its lines: after the first pass every access hits.
+func BenchmarkCacheAccessHit(b *testing.B) {
+	c := memsim.NewCache(memsim.CacheConfig{SizeBytes: 64 << 10, LineBytes: 64, Ways: 4})
+	const lines = (64 << 10) / 64 / 2
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.Access(uint64(i%lines) * 64)
+	}
+}
+
 func BenchmarkSPEUnitHotPath(b *testing.B) {
 	sink := &countSink{}
 	u := spe.NewUnit(spe.Config{Period: 4096, SampleLoads: true}, xrand.New(1), sink)

@@ -75,7 +75,9 @@ type Machine struct {
 }
 
 // New constructs a machine. Zero spec fields fall back to the Altra
-// defaults.
+// defaults. A core's private caches, TLB and op buffer are built when
+// Run first gives it a stream, so idle cores of a large spec cost
+// nothing.
 func New(spec Spec) *Machine {
 	spec = spec.normalize()
 	m := &Machine{
@@ -83,24 +85,29 @@ func New(spec Spec) *Machine {
 		slc:  memsim.NewCache(spec.SLC),
 		numa: memsim.NewNUMADomain(spec.NUMA, spec.DRAM),
 	}
-	nodes := len(m.numa.Nodes())
-	tlb := memsim.CacheConfig{SizeBytes: spec.TLBEntries * spec.PageBytes,
-		LineBytes: spec.PageBytes, Ways: spec.TLBEntries}
 	m.cores = make([]*core, spec.Cores)
 	for i := range m.cores {
-		h := &memsim.Hierarchy{
-			L1:  memsim.NewCache(spec.L1),
-			L2:  memsim.NewCache(spec.L2),
-			TLB: memsim.NewCache(tlb),
-			SLC: m.slc,
-			Mem: m.numa,
-			// Cores split evenly across sockets.
-			NodeID: i * nodes / spec.Cores,
-			Lat:    spec.Lat,
-		}
-		m.cores[i] = &core{id: i, hier: h, buf: make([]isa.Op, 4096)}
+		m.cores[i] = &core{id: i}
 	}
 	return m
+}
+
+// build gives core c its private hierarchy and op buffer.
+func (m *Machine) build(c *core) {
+	spec := m.spec
+	tlb := memsim.CacheConfig{SizeBytes: spec.TLBEntries * spec.PageBytes,
+		LineBytes: spec.PageBytes, Ways: spec.TLBEntries}
+	c.hier = &memsim.Hierarchy{
+		L1:  memsim.NewCache(spec.L1),
+		L2:  memsim.NewCache(spec.L2),
+		TLB: memsim.NewCache(tlb),
+		SLC: m.slc,
+		Mem: m.numa,
+		// Cores split evenly across sockets.
+		NodeID: c.id * len(m.numa.Nodes()) / spec.Cores,
+		Lat:    spec.Lat,
+	}
+	c.buf = make([]isa.Op, 4096)
 }
 
 // NUMA returns the main-memory domain (never nil; one node unless
@@ -170,12 +177,16 @@ func (m *Machine) Run(streams []isa.Stream) (RunResult, error) {
 	m.reset()
 	active := 0
 	for i, s := range streams {
-		m.cores[i].stream = s
-		if s != nil {
-			active++
-		} else {
-			m.cores[i].done = true
+		c := m.cores[i]
+		c.stream = s
+		if s == nil {
+			c.done = true
+			continue
 		}
+		if c.hier == nil {
+			m.build(c)
+		}
+		active++
 	}
 	for i := len(streams); i < len(m.cores); i++ {
 		m.cores[i].done = true
@@ -226,7 +237,9 @@ func (m *Machine) reset() {
 	m.slc.Reset()
 	m.numa.Reset()
 	for _, c := range m.cores {
-		c.hier.Reset()
+		if c.hier != nil {
+			c.hier.Reset()
+		}
 		c.cycles = 0
 		c.retireAt = 0
 		c.done = false

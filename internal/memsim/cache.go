@@ -13,6 +13,8 @@
 // its collision curve (DESIGN.md §4).
 package memsim
 
+import "math"
+
 // Level identifies where in the hierarchy an access was satisfied.
 // The values double as the SPE data-source encoding used by the
 // packet encoder (internal/spepkt).
@@ -53,26 +55,38 @@ func (l Level) String() string {
 // A fully associative TLB is the one-set case: LineBytes is the page
 // size and Ways the entry count (see Hierarchy.TLB).
 //
-// The implementation is tuned for the inner loop: a lookup on a
-// 4–8 way cache is a handful of comparisons over a contiguous tag
-// slice, with 8-bit LRU ranks updated in place.
+// The implementation is tuned for the inner loop. Recency is a 32-bit
+// last-use stamp per entry drawn from one clock per cache, so a hit is
+// a single store and only a miss scans the set for its oldest stamp.
+// A repeat of the previous access returns before any scan: that line
+// is already the newest of its set, so there is nothing to update.
+// When the clock would wrap, every set's stamps are rewritten as their
+// recency ranks, which keeps the LRU order exactly.
 type Cache struct {
 	ways     int
 	sets     int
 	lineBits uint
 	setMask  uint64
 	tags     []uint64 // sets*ways entries; 0 = invalid
-	lru      []uint8  // rank per entry; 0 = most recently used
+	stamp    []uint32 // last use per entry; 0 = invalid, valid ≥ 1
+	clock    uint32   // newest stamp handed out
+	last     uint64   // tag of the previous access; 0 = none
 
 	hits   uint64
 	misses uint64
 }
 
+// maxWays bounds the associativity; renormalize ranks one set in a
+// stack array of this size.
+const maxWays = 255
+
 // CacheConfig describes a cache's geometry.
 type CacheConfig struct {
 	SizeBytes int // total capacity
 	LineBytes int // line size (power of two)
-	Ways      int // associativity, at most 255 (LRU ranks are 8-bit)
+	// Ways is the associativity, at most 255: the clock-wrap rewrite
+	// ranks a set in a fixed-size stack array.
+	Ways int
 }
 
 // NewCache constructs a cache. It panics on invalid geometry since
@@ -81,7 +95,7 @@ func NewCache(cfg CacheConfig) *Cache {
 	if cfg.LineBytes <= 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		panic("memsim: line size must be a positive power of two")
 	}
-	if cfg.Ways <= 0 || cfg.Ways > 255 {
+	if cfg.Ways <= 0 || cfg.Ways > maxWays {
 		panic("memsim: ways must be in [1,255]")
 	}
 	lines := cfg.SizeBytes / cfg.LineBytes
@@ -93,26 +107,13 @@ func NewCache(cfg CacheConfig) *Cache {
 	for 1<<lineBits < cfg.LineBytes {
 		lineBits++
 	}
-	c := &Cache{
+	return &Cache{
 		ways:     cfg.Ways,
 		sets:     sets,
 		lineBits: lineBits,
 		setMask:  uint64(sets - 1),
 		tags:     make([]uint64, sets*cfg.Ways),
-		lru:      make([]uint8, sets*cfg.Ways),
-	}
-	c.initLRU()
-	return c
-}
-
-// initLRU makes each set's ranks a permutation 0..ways-1 so that touch
-// preserves the permutation invariant and eviction always has a unique
-// LRU victim.
-func (c *Cache) initLRU() {
-	for s := 0; s < c.sets; s++ {
-		for w := 0; w < c.ways; w++ {
-			c.lru[s*c.ways+w] = uint8(w)
-		}
+		stamp:    make([]uint32, sets*cfg.Ways),
 	}
 }
 
@@ -124,33 +125,63 @@ func (c *Cache) Access(addr uint64) bool {
 	line := addr >> c.lineBits
 	// Tag 0 marks an invalid entry, so bias stored tags by +1.
 	tag := line + 1
+	if tag == c.last {
+		c.hits++
+		return true
+	}
+	c.last = tag
+	if c.clock == math.MaxUint32 {
+		c.renormalize()
+	}
+	c.clock++
 	set := int(line&c.setMask) * c.ways
 	ways := c.tags[set : set+c.ways]
+	stamps := c.stamp[set : set+c.ways]
 	for i, t := range ways {
 		if t == tag {
-			c.touch(set, i)
+			stamps[i] = c.clock
 			c.hits++
 			return true
 		}
 	}
 	c.misses++
-	// Evict the LRU way (highest rank).
+	// Evict the first way with the smallest stamp: the first invalid
+	// way if there is one (stamp 0), else the LRU line.
 	victim := 0
-	worst := uint8(0)
-	lru := c.lru[set : set+c.ways]
-	for i, r := range lru {
-		if ways[i] == 0 {
-			victim = i
-			break
-		}
-		if r >= worst {
-			worst = r
+	for i, s := range stamps {
+		if s < stamps[victim] {
 			victim = i
 		}
 	}
 	ways[victim] = tag
-	c.touch(set, victim)
+	stamps[victim] = c.clock
 	return false
+}
+
+// renormalize rewrites each set's valid stamps as their recency ranks
+// (1 = oldest) and restarts the clock above them, so the clock never
+// wraps and every set keeps its LRU order. Ranks are computed from a
+// copy of the set's stamps: ranking in place would compare new ranks
+// against old stamps.
+func (c *Cache) renormalize() {
+	var old [maxWays]uint32
+	for set := 0; set < len(c.stamp); set += c.ways {
+		stamps := c.stamp[set : set+c.ways]
+		copy(old[:], stamps)
+		for i, s := range old[:c.ways] {
+			if s == 0 {
+				continue
+			}
+			rank := uint32(1)
+			for _, o := range old[:c.ways] {
+				if o != 0 && o < s {
+					rank++
+				}
+			}
+			stamps[i] = rank
+		}
+	}
+	c.clock = uint32(c.ways)
 }
 
 // Probe reports whether addr is present without updating any state.
@@ -166,27 +197,14 @@ func (c *Cache) Probe(addr uint64) bool {
 	return false
 }
 
-// touch makes way `hit` the MRU entry of its set.
-func (c *Cache) touch(set, hit int) {
-	lru := c.lru[set : set+c.ways]
-	h := lru[hit]
-	for i := range lru {
-		if lru[i] < h {
-			lru[i]++
-		}
-	}
-	lru[hit] = 0
-}
-
 // Stats returns cumulative hit/miss counts.
 func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
 
 // Reset invalidates the cache and clears statistics.
 func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-	}
-	c.initLRU()
+	clear(c.tags)
+	clear(c.stamp)
+	c.clock, c.last = 0, 0
 	c.hits, c.misses = 0, 0
 }
 

@@ -1,10 +1,12 @@
 package memsim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
 	"nmo/internal/sim"
+	"nmo/internal/xrand"
 )
 
 func TestCacheGeometry(t *testing.T) {
@@ -165,6 +167,156 @@ func TestCacheStatsConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// lruModel is the reference LRU cache: per set, the resident lines in
+// recency order, newest first. A hit moves its line to the front; a
+// miss fills a free way if the set has one, else evicts the back of
+// the list.
+type lruModel struct {
+	ways     int
+	lineBits uint
+	sets     [][]uint64
+	hits     uint64
+	misses   uint64
+}
+
+func newLRUModel(cfg CacheConfig) *lruModel {
+	m := &lruModel{ways: cfg.Ways, sets: make([][]uint64, cfg.SizeBytes/cfg.LineBytes/cfg.Ways)}
+	for 1<<m.lineBits < cfg.LineBytes {
+		m.lineBits++
+	}
+	return m
+}
+
+func (m *lruModel) list(addr uint64) (line uint64, set *[]uint64) {
+	line = addr >> m.lineBits
+	return line, &m.sets[line%uint64(len(m.sets))]
+}
+
+func (m *lruModel) access(addr uint64) bool {
+	line, set := m.list(addr)
+	s := *set
+	for i, l := range s {
+		if l == line {
+			copy(s[1:i+1], s[:i])
+			s[0] = line
+			m.hits++
+			return true
+		}
+	}
+	m.misses++
+	if len(s) < m.ways {
+		s = append(s, 0)
+	}
+	copy(s[1:], s[:len(s)-1])
+	s[0] = line
+	*set = s
+	return false
+}
+
+func (m *lruModel) probe(addr uint64) bool {
+	line, set := m.list(addr)
+	for _, l := range *set {
+		if l == line {
+			return true
+		}
+	}
+	return false
+}
+
+func (m *lruModel) reset() {
+	for i := range m.sets {
+		m.sets[i] = m.sets[i][:0]
+	}
+	m.hits, m.misses = 0, 0
+}
+
+// cacheStream returns n addresses over a pool of twice the cache's
+// lines, at random offsets within each line. About a quarter of the
+// accesses repeat the previous line (the MRU shortcut), and the
+// stream comes in runs of 1–8 accesses to one line.
+func cacheStream(cfg CacheConfig, seed uint64, n int) []uint64 {
+	rng := xrand.New(seed)
+	lines := uint64(2 * cfg.SizeBytes / cfg.LineBytes)
+	out := make([]uint64, 0, n)
+	line := uint64(0)
+	for len(out) < n {
+		if rng.Intn(4) != 0 {
+			line = rng.Uint64n(lines)
+		}
+		for run := 1 + rng.Intn(8); run > 0 && len(out) < n; run-- {
+			out = append(out, line*uint64(cfg.LineBytes)+rng.Uint64n(uint64(cfg.LineBytes)))
+		}
+	}
+	return out
+}
+
+var modelGeometries = []CacheConfig{
+	{SizeBytes: 64 * 64, LineBytes: 64, Ways: 1},         // direct mapped, 64 sets
+	{SizeBytes: 4 << 10, LineBytes: 64, Ways: 4},         // 16 sets
+	{SizeBytes: 48 << 16, LineBytes: 64 << 10, Ways: 48}, // Altra TLB
+	{SizeBytes: 64 << 12, LineBytes: 4 << 10, Ways: 64},  // Ice Lake TLB
+	{SizeBytes: 2 * 255 * 64, LineBytes: 64, Ways: 255},  // the bound, 2 sets
+}
+
+// TestCacheMatchesLRUModel checks Cache against the naive recency-list
+// LRU on random streams with repeated lines and occasional Resets.
+// Every Reset is followed by the line accessed just before it, which
+// must miss: a repeat shortcut that survived Reset would report a hit
+// on an empty cache.
+func TestCacheMatchesLRUModel(t *testing.T) {
+	for gi, cfg := range modelGeometries {
+		c, m := NewCache(cfg), newLRUModel(cfg)
+		rng := xrand.New(uint64(gi) + 100)
+		stream := cacheStream(cfg, uint64(gi)+1, 200_000)
+		prev := stream[0]
+		for i, addr := range stream {
+			if i > 0 && rng.Intn(5000) == 0 {
+				c.Reset()
+				m.reset()
+				addr = prev
+			}
+			prev = addr
+			got, want := c.Access(addr), m.access(addr)
+			if got != want {
+				t.Fatalf("%+v: access %d (%#x) hit = %v, model %v", cfg, i, addr, got, want)
+			}
+			other := stream[rng.Intn(len(stream))]
+			if c.Probe(addr) != m.probe(addr) || c.Probe(other) != m.probe(other) {
+				t.Fatalf("%+v: access %d: Probe disagrees with the model", cfg, i)
+			}
+		}
+		if h, ms := c.Stats(); h != m.hits || ms != m.misses {
+			t.Errorf("%+v: Stats() = (%d, %d), model (%d, %d)", cfg, h, ms, m.hits, m.misses)
+		}
+	}
+}
+
+// TestCacheClockWrap drives a cache whose stamp clock starts just
+// below the 32-bit wrap alongside a fresh one: the rewrite of stamps to
+// ranks at the wrap must leave every later hit and miss unchanged. The
+// wrap comes after about a thousand stamped accesses, once the sets are
+// full and hits and evictions have put their stamps out of way order;
+// a cold set's stamps rise with the way index, and even a wrong
+// ranking would keep that order.
+func TestCacheClockWrap(t *testing.T) {
+	const start = math.MaxUint32 - 1000
+	for _, cfg := range []CacheConfig{
+		{SizeBytes: 16 * 64, LineBytes: 64, Ways: 4},         // 4 sets x 4 ways
+		{SizeBytes: 48 << 16, LineBytes: 64 << 10, Ways: 48}, // one-set TLB
+	} {
+		wrapped, fresh := NewCache(cfg), NewCache(cfg)
+		wrapped.clock = start
+		for i, addr := range cacheStream(cfg, 7, 400_000) {
+			if a, b := wrapped.Access(addr), fresh.Access(addr); a != b {
+				t.Fatalf("%+v: access %d (%#x) hit = %v across the wrap, %v without", cfg, i, addr, a, b)
+			}
+		}
+		if wrapped.clock >= start {
+			t.Errorf("%+v: clock %d never wrapped", cfg, wrapped.clock)
+		}
 	}
 }
 
